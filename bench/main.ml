@@ -26,13 +26,12 @@
    select (e.g. `dune exec bench/main.exe fig7 fig8 ablate`). The
    evaluation matrix fans out across a domain pool: `--jobs N` sets the
    worker count (default: GMT_JOBS or the recommended domain count);
-   results are byte-identical for every N. `--kernel jit|decoded|legacy`
-   selects the simulator execution engine for the matrix (default jit;
-   all three produce identical metrics). `--smoke` runs a tiny-fuel
-   3-kernel matrix through the pool plus a three-engine simulator
-   equivalence check (CI's @smoke alias). `--bench-smoke` validates the
-   committed BENCH_fig8.json and re-proves one cell's three-engine
-   equivalence (CI's @bench-smoke alias, folded into @smoke).
+   results are byte-identical for every N. `--smoke` runs a tiny-fuel
+   3-kernel matrix through the pool plus a two-engine (jit vs the legacy
+   oracle) simulator equivalence check (CI's @smoke alias).
+   `--bench-smoke` validates the committed BENCH_fig8.json and re-proves
+   one cell's two-engine equivalence (CI's @bench-smoke alias, folded
+   into @smoke).
    `--telemetry-smoke` validates the committed BENCH_service.json
    (schema, percentile ordering, the telemetry overhead gate) and lints
    a live daemon's stats/2 frame and Prometheus text (CI's @telemetry
@@ -40,7 +39,7 @@
    artifact's farm section (shard-scaling, single-flight collapse and
    shard-kill gates) and runs a live two-shard TCP failover drill
    (CI's @farm-smoke alias, folded into @smoke). `fig8`
-   additionally times every cell under all three engines and writes
+   additionally times every cell under both engines and writes
    BENCH_fig8.json with per-cell wall-clock, simulated cycles, and the
    per-engine comparison column. *)
 
@@ -56,21 +55,23 @@ module Sim = Gmt_machine.Sim
 type row = V.row
 
 let jobs : int option ref = ref None
-let kernel : Gmt_machine.Sim.kernel ref = ref `Jit
 let matrix_wall = ref 0.0
 
-let kernel_name () = Gmt_machine.Sim.kernel_name !kernel
+(* The simulator engines by their JSON/column names, oracle first: the
+   legacy result is the reference the jit is checked against. *)
+let engines : (string * Gmt_machine.Interp.engine) list =
+  [ ("legacy", `Legacy); ("jit", `Jit) ]
 
 let rows : row list Lazy.t =
   lazy
     (let ws = Suite.all () in
      let j = match !jobs with Some j -> j | None -> Pool.default_jobs () in
-     Printf.eprintf "[bench] measuring %d x %d matrix (jobs=%d, kernel=%s)...\n%!"
+     Printf.eprintf "[bench] measuring %d x %d matrix (jobs=%d)...\n%!"
        (List.length ws)
        (List.length V.matrix_kinds)
-       j (kernel_name ());
+       j;
      let t0 = Unix.gettimeofday () in
-     let rs = V.run_matrix ~jobs:j ~kernel:!kernel ws in
+     let rs = V.run_matrix ~jobs:j ws in
      matrix_wall := Unix.gettimeofday () -. t0;
      rs)
 
@@ -162,7 +163,7 @@ let fig7 () =
     \ reduction ks with GREMIO, to 26.3%; adpcmenc/GREMIO had no\n\
     \ opportunity; >99% of mesa & gromacs memory syncs removed)"
 
-(* ------------- three-engine wall-clock comparison (fig8) ------------ *)
+(* -------------- two-engine wall-clock comparison (fig8) ------------- *)
 
 (* One Fig-8 cell timed under each execution engine on the same compiled
    program. The engines must agree bit-for-bit — [Sim.result] is compared
@@ -183,7 +184,7 @@ let time_thunk f =
 let kernel_compare_cells ws =
   Printf.eprintf "[bench] timing %d cells under %d engines...\n%!"
     (List.length ws * List.length V.matrix_kinds)
-    (List.length Sim.all_kernels);
+    (List.length engines);
   List.concat_map
     (fun (w : W.t) ->
       List.map
@@ -192,27 +193,27 @@ let kernel_compare_cells ws =
             match kind with
             | V.Single ->
               let mc = Config.itanium2 () in
-              fun kernel ->
-                Sim.run_single ~kernel ~init_regs:w.W.reference.W.regs
+              fun engine ->
+                Sim.run_single ~engine ~init_regs:w.W.reference.W.regs
                   ~init_mem:w.W.reference.W.mem mc w.W.func
                   ~mem_size:w.W.mem_size
             | V.Mt (tech, coco) ->
               let c = V.compile ~coco tech w in
               let mc = V.machine_config tech in
-              fun kernel ->
-                Sim.run ~kernel ~init_regs:w.W.reference.W.regs
+              fun engine ->
+                Sim.run ~engine ~init_regs:w.W.reference.W.regs
                   ~init_mem:w.W.reference.W.mem mc c.V.mtp
                   ~mem_size:w.W.mem_size
           in
-          (* [Sim.all_kernels] is oracle-first: the legacy result is the
-             reference the other engines are checked against. Wall clock
+          (* [engines] is oracle-first: the legacy result is the
+             reference the jit is checked against. Wall clock
              is the min over three runs — the simulator is deterministic,
              so spread between runs is allocator/GC noise, and the min is
              the cleanest estimate of the engine's cost. *)
           let reps = 3 in
           let timed =
             List.map
-              (fun k ->
+              (fun (name, k) ->
                 let r0, s0 = time_thunk (fun () -> run k) in
                 let best = ref s0 in
                 for _ = 2 to reps do
@@ -220,13 +221,13 @@ let kernel_compare_cells ws =
                   if r <> r0 then begin
                     Printf.eprintf
                       "[bench] FAIL: %s/%s: %s engine nondeterministic\n"
-                      w.W.name (V.cell_name kind) (Sim.kernel_name k);
+                      w.W.name (V.cell_name kind) name;
                     exit 1
                   end;
                   if s < !best then best := s
                 done;
-                (Sim.kernel_name k, r0, !best))
-              Sim.all_kernels
+                (name, r0, !best))
+              engines
           in
           (match timed with
           | (_, reference, _) :: rest ->
@@ -316,7 +317,7 @@ let write_fig8_json rs kcells =
       m.V.queue_peak;
     String.concat ", " (List.rev !nz)
   in
-  (* Per-engine wall-clock column from the three-way comparison pass. *)
+  (* Per-engine wall-clock column from the comparison pass. *)
   let kernels_json bench config =
     match
       List.find_opt
@@ -389,8 +390,7 @@ let write_fig8_json rs kcells =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"gmt-bench-fig8/4\",\n";
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" j);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"kernel\": %S,\n" (kernel_name ()));
+  Buffer.add_string buf "  \"kernel\": \"jit\",\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"total_wall_s\": %.6f,\n" !matrix_wall);
   Buffer.add_string buf
@@ -453,15 +453,15 @@ let fig8 () =
     "Execution-engine comparison: Sim.run wall-clock per cell (identical \
      results)";
   hr ();
-  Printf.printf "%-12s %-12s | %10s %10s %10s | %8s\n" "benchmark" "config"
-    "legacy(ms)" "decoded(ms)" "jit(ms)" "jit-gain";
+  Printf.printf "%-12s %-12s | %10s %10s | %8s\n" "benchmark" "config"
+    "legacy(ms)" "jit(ms)" "jit-gain";
   hr ();
   List.iter
     (fun kc ->
       let ms kn = 1e3 *. Option.value ~default:0.0 (List.assoc_opt kn kc.kc_wall) in
-      let l = ms "legacy" and d = ms "decoded" and j = ms "jit" in
-      Printf.printf "%-12s %-12s | %10.2f %10.2f %10.2f | %7.1fx\n"
-        kc.kc_bench kc.kc_config l d j
+      let l = ms "legacy" and j = ms "jit" in
+      Printf.printf "%-12s %-12s | %10.2f %10.2f | %7.1fx\n"
+        kc.kc_bench kc.kc_config l j
         (if j > 0.0 then l /. j else 0.0))
     kcells;
   hr ();
@@ -696,7 +696,7 @@ let compile_bench () =
 
 (* --smoke: a seconds-scale end-to-end pass for CI (the dune @smoke
    alias): three kernels through the full matrix on a 2-worker domain
-   pool with tiny fuel, plus a three-engine (legacy/decoded/jit)
+   pool with tiny fuel, plus a two-engine (jit vs the legacy oracle)
    simulator equivalence check and a jobs-determinism check. Exits
    non-zero on any mismatch. *)
 let smoke () =
@@ -719,19 +719,15 @@ let smoke () =
     (fun (w : W.t) ->
       let c = V.compile V.Gremio w in
       let mc = V.machine_config V.Gremio in
-      let run kernel =
-        Gmt_machine.Sim.run ~fuel ~kernel ~init_regs:w.W.reference.W.regs
+      let run engine =
+        Sim.run ~fuel ~engine ~init_regs:w.W.reference.W.regs
           ~init_mem:w.W.reference.W.mem mc c.V.mtp ~mem_size:w.W.mem_size
       in
-      let reference = run `Legacy in
-      List.iter
-        (fun k ->
-          if run k <> reference then begin
-            Printf.eprintf "[smoke] FAIL: %s %s/legacy results differ\n"
-              w.W.name (Sim.kernel_name k);
-            exit 1
-          end)
-        [ `Decoded; `Jit ])
+      if run `Jit <> run `Legacy then begin
+        Printf.eprintf "[smoke] FAIL: %s jit/legacy results differ\n"
+          w.W.name;
+        exit 1
+      end)
     ws;
   (* One traced cell through the observability layer: the emitted Chrome
      trace and metrics JSON must parse and have the expected shape, and
@@ -802,9 +798,10 @@ let smoke () =
   Obs.reset ();
   Printf.printf
     "[smoke] ok: %d kernels x %d configs, pool jobs=2 deterministic, \
-     jit==decoded==legacy, traced cell JSON valid (%.2fs)\n"
+     jit==legacy across %d engines, traced cell JSON valid (%.2fs)\n"
     (List.length ws)
     (List.length V.matrix_kinds)
+    (List.length engines)
     (Unix.gettimeofday () -. t0)
 
 (* --verify-matrix: translation-validate every multi-threaded cell of the
@@ -846,9 +843,9 @@ let verify_matrix () =
 
 (* --bench-smoke: validate the committed BENCH_fig8.json — it must
    parse, carry the current schema, record a per-engine wall-clock entry
-   for every engine, and record a jit-vs-legacy geomean at or above the
-   5x floor — then re-prove on one live cell that all three engines
-   still produce bit-identical results. The JSON checks read the
+   for both engines, and record a jit-vs-legacy geomean at or above the
+   5x floor — then re-prove on one live cell that the jit still produces
+   results bit-identical to the legacy oracle. The JSON checks read the
    committed artifact (deterministic in CI); only the equivalence gate
    simulates. Runs under CI's @bench-smoke alias, folded into @smoke. *)
 let bench_smoke path =
@@ -881,11 +878,10 @@ let bench_smoke path =
       (match Json.member "kernels" cell with
       | Some (Json.Obj ks) ->
         List.iter
-          (fun k ->
-            let name = Sim.kernel_name k in
+          (fun (name, _) ->
             if not (List.mem_assoc name ks) then
               fail "first cell lacks a %S wall-clock entry" name)
-          Sim.all_kernels
+          engines
       | _ -> fail "first cell lacks a kernels object");
       let expected =
         List.length (Suite.all ()) * List.length V.matrix_kinds
@@ -912,22 +908,17 @@ let bench_smoke path =
   let w = Suite.find "ks" in
   let c = V.compile ~coco:true V.Gremio w in
   let mc = V.machine_config V.Gremio in
-  let run kernel =
-    Sim.run ~kernel ~init_regs:w.W.reference.W.regs
+  let run engine =
+    Sim.run ~engine ~init_regs:w.W.reference.W.regs
       ~init_mem:w.W.reference.W.mem mc c.V.mtp ~mem_size:w.W.mem_size
   in
-  let reference = run `Legacy in
-  List.iter
-    (fun k ->
-      if run k <> reference then
-        fail "ks/gremio+coco: %s engine disagrees with legacy"
-          (Sim.kernel_name k))
-    [ `Decoded; `Jit ];
+  if run `Jit <> run `Legacy then
+    fail "ks/gremio+coco: jit engine disagrees with legacy";
   Printf.printf
     "[bench-smoke] ok: %s schema valid, geomean floor met, ks cell \
      identical across %d engines (%.2fs)\n"
     path
-    (List.length Sim.all_kernels)
+    (List.length engines)
     (Unix.gettimeofday () -. t0)
 
 (* fuzz: the corpus-driven differential fuzzer (explicit section, like
@@ -2205,7 +2196,7 @@ let pool_section () =
     List.map
       (fun lvl ->
         let t0 = Unix.gettimeofday () in
-        ignore (V.run_matrix ~jobs:lvl ~kernel:!kernel ws);
+        ignore (V.run_matrix ~jobs:lvl ws);
         let dt = Unix.gettimeofday () -. t0 in
         Printf.printf "matrix --jobs %d: %.2fs\n%!" lvl dt;
         (lvl, dt))
@@ -2341,14 +2332,6 @@ let () =
     | "--pool-smoke" :: rest -> "--pool-smoke-marker" :: parse rest
     | "--jobs" :: n :: rest ->
       jobs := Some (parse_jobs n);
-      parse rest
-    | "--kernel" :: k :: rest ->
-      (match Sim.kernel_of_string k with
-      | Some kk -> kernel := kk
-      | None ->
-        Printf.eprintf "bench: --kernel expects jit|decoded|legacy, got %S\n"
-          k;
-        exit 2);
       parse rest
     | "--trace" :: f :: rest ->
       trace_out := Some f;

@@ -143,31 +143,6 @@ let fuel_opt_arg =
           "Budget of interpreter/simulator steps; exhausting it aborts the \
            measurement with exit code 5 instead of running forever.")
 
-let kernel_conv =
-  let parse s =
-    match Gmt_machine.Sim.kernel_of_string (String.trim s) with
-    | Some k -> Ok k
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown kernel %S (known: jit, decoded, legacy)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf k -> Format.pp_print_string ppf (Gmt_machine.Sim.kernel_name k)
-    )
-
-let kernel_arg =
-  Arg.(
-    value
-    & opt (some kernel_conv) None
-    & info [ "kernel" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: $(b,jit) (closure-compiled, the default), \
-           $(b,decoded) or $(b,legacy). Reports, metrics and cached \
-           artifacts are byte-identical for any choice — the slower \
-           engines are kept as equivalence oracles.")
-
 (* Print exactly what a Render outcome says and exit with its code —
    the one funnel both local and remote execution drain through. *)
 let finish_outcome (o : Render.outcome) =
@@ -328,7 +303,7 @@ let apply_inject inject (c : V.compiled) =
       exit 1)
 
 let check_cmd =
-  let run bench tech coco threads json inject kernel =
+  let run bench tech coco threads json inject =
     let w = resolve_workload bench in
     let tech = resolve_technique tech in
     if json || inject <> None then begin
@@ -353,7 +328,7 @@ let check_cmd =
           (List.length diags) (Verify.render diags);
       if diags <> [] then exit 4
     end
-    else finish_outcome (Render.check ?kernel ~technique:tech ~coco ~threads w)
+    else finish_outcome (Render.check ~technique:tech ~coco ~threads w)
   in
   let json_arg =
     Arg.(
@@ -371,12 +346,12 @@ let check_cmd =
           def-before-use); exit 4 if any check rejects.")
     Term.(
       const run $ bench_arg $ technique_arg $ coco_arg $ threads_arg $ json_arg
-      $ inject_arg $ kernel_arg)
+      $ inject_arg)
 
 (* ------------------------------ run ------------------------------ *)
 
 let run_cmd =
-  let run bench tech coco threads no_verify jobs fuel kernel trace metrics =
+  let run bench tech coco threads no_verify jobs fuel trace metrics =
     let w = resolve_workload bench in
     let technique = resolve_technique tech in
     let jobs = resolve_jobs jobs in
@@ -384,8 +359,8 @@ let run_cmd =
     (* The single-threaded baseline and the multi-threaded cell are
        independent; Render.run fans them out over the domain pool. *)
     finish_outcome
-      (Render.run ~jobs ?fuel ?kernel ~verify:(not no_verify) ~technique
-         ~coco ~threads w)
+      (Render.run ~jobs ?fuel ~verify:(not no_verify) ~technique ~coco
+         ~threads w)
   in
   Cmd.v
     (Cmd.info "run"
@@ -394,8 +369,7 @@ let run_cmd =
           performance.")
     Term.(
       const run $ bench_arg $ technique_arg $ coco_arg $ threads_arg
-      $ no_verify_arg $ jobs_arg $ fuel_opt_arg $ kernel_arg $ trace_arg
-      $ metrics_arg)
+      $ no_verify_arg $ jobs_arg $ fuel_opt_arg $ trace_arg $ metrics_arg)
 
 (* ------------------------------ dot ------------------------------ *)
 
@@ -438,17 +412,17 @@ let dot_cmd =
 (* ----------------------------- sweep ----------------------------- *)
 
 let sweep_cmd =
-  let run bench max_threads jobs fuel kernel trace metrics =
+  let run bench max_threads jobs fuel trace metrics =
     let w = resolve_workload bench in
     let jobs = resolve_jobs jobs in
     with_obs trace metrics @@ fun () ->
-    finish_outcome (Render.sweep ~jobs ?fuel ?kernel ~max_threads w)
+    finish_outcome (Render.sweep ~jobs ?fuel ~max_threads w)
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep thread counts and report communication.")
     Term.(
       const run $ bench_arg $ threads_arg $ jobs_arg $ fuel_opt_arg
-      $ kernel_arg $ trace_arg $ metrics_arg)
+      $ trace_arg $ metrics_arg)
 
 (* ----------------------------- export ---------------------------- *)
 
@@ -999,14 +973,14 @@ let remote_finish ~socket ~trace ~metrics ~op ~fallback req =
     exit 1
 
 let remote_run_cmd =
-  let run bench tech coco threads fuel kernel socket trace metrics =
+  let run bench tech coco threads fuel socket trace metrics =
     let w = resolve_workload bench in
     let gmt = Text.print w in
     remote_finish ~socket ~trace ~metrics ~op:"run"
       ~fallback:(fun () ->
         let technique = resolve_technique tech in
-        Render.run ~jobs:1 ?fuel ?kernel ~technique ~coco ~threads w)
-      (Client.run_request ~gmt ~technique:tech ~coco ~threads ?fuel ?kernel ())
+        Render.run ~jobs:1 ?fuel ~technique ~coco ~threads w)
+      (Client.run_request ~gmt ~technique:tech ~coco ~threads ?fuel ())
   in
   Cmd.v
     (Cmd.info "run"
@@ -1017,7 +991,7 @@ let remote_run_cmd =
           the written trace.")
     Term.(
       const run $ bench_arg $ technique_arg $ coco_arg $ threads_arg
-      $ fuel_opt_arg $ kernel_arg $ socket_arg $ trace_arg $ metrics_arg)
+      $ fuel_opt_arg $ socket_arg $ trace_arg $ metrics_arg)
 
 let remote_check_cmd =
   let run bench tech coco threads socket trace metrics =
@@ -1036,18 +1010,18 @@ let remote_check_cmd =
       $ socket_arg $ trace_arg $ metrics_arg)
 
 let remote_sweep_cmd =
-  let run bench max_threads fuel kernel socket trace metrics =
+  let run bench max_threads fuel socket trace metrics =
     let w = resolve_workload bench in
     let gmt = Text.print w in
     remote_finish ~socket ~trace ~metrics ~op:"sweep"
-      ~fallback:(fun () -> Render.sweep ~jobs:1 ?fuel ?kernel ~max_threads w)
-      (Client.sweep_request ~gmt ~max_threads ?fuel ?kernel ())
+      ~fallback:(fun () -> Render.sweep ~jobs:1 ?fuel ~max_threads w)
+      (Client.sweep_request ~gmt ~max_threads ?fuel ())
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Like $(b,gmtc sweep), served by gmtd.")
     Term.(
-      const run $ bench_arg $ threads_arg $ fuel_opt_arg $ kernel_arg
-      $ socket_arg $ trace_arg $ metrics_arg)
+      const run $ bench_arg $ threads_arg $ fuel_opt_arg $ socket_arg
+      $ trace_arg $ metrics_arg)
 
 let remote_ping_cmd =
   let run socket =
@@ -1268,15 +1242,15 @@ let farm_finish ~shards ~key ~trace ~metrics ~op ~fallback req =
     exit 1
 
 let farm_run_cmd =
-  let run bench tech coco threads fuel kernel shards trace metrics =
+  let run bench tech coco threads fuel shards trace metrics =
     let w = resolve_workload bench in
     let gmt = Text.print w in
     let technique = resolve_technique tech in
     let key = Farm.compile_key ~technique ~coco ~threads ~canonical:gmt in
     farm_finish ~shards ~key ~trace ~metrics ~op:"run"
       ~fallback:(fun () ->
-        Render.run ~jobs:1 ?fuel ?kernel ~technique ~coco ~threads w)
-      (Client.run_request ~gmt ~technique:tech ~coco ~threads ?fuel ?kernel ())
+        Render.run ~jobs:1 ?fuel ~technique ~coco ~threads w)
+      (Client.run_request ~gmt ~technique:tech ~coco ~threads ?fuel ())
   in
   Cmd.v
     (Cmd.info "run"
@@ -1286,7 +1260,7 @@ let farm_run_cmd =
           failover to the next ring node when it is down.")
     Term.(
       const run $ bench_arg $ technique_arg $ coco_arg $ threads_arg
-      $ fuel_opt_arg $ kernel_arg $ shards_arg $ trace_arg $ metrics_arg)
+      $ fuel_opt_arg $ shards_arg $ trace_arg $ metrics_arg)
 
 let farm_check_cmd =
   let run bench tech coco threads shards trace metrics =
@@ -1305,13 +1279,13 @@ let farm_check_cmd =
       $ shards_arg $ trace_arg $ metrics_arg)
 
 let farm_sweep_cmd =
-  let run bench max_threads fuel kernel shards trace metrics =
+  let run bench max_threads fuel shards trace metrics =
     let w = resolve_workload bench in
     let gmt = Text.print w in
     let key = Farm.sweep_key ~canonical:gmt in
     farm_finish ~shards ~key ~trace ~metrics ~op:"sweep"
-      ~fallback:(fun () -> Render.sweep ~jobs:1 ?fuel ?kernel ~max_threads w)
-      (Client.sweep_request ~gmt ~max_threads ?fuel ?kernel ())
+      ~fallback:(fun () -> Render.sweep ~jobs:1 ?fuel ~max_threads w)
+      (Client.sweep_request ~gmt ~max_threads ?fuel ())
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -1319,8 +1293,8 @@ let farm_sweep_cmd =
          "Like $(b,gmtc remote sweep), routed by program digest so every \
           sweep of one program warms the same shard.")
     Term.(
-      const run $ bench_arg $ threads_arg $ fuel_opt_arg $ kernel_arg
-      $ shards_arg $ trace_arg $ metrics_arg)
+      const run $ bench_arg $ threads_arg $ fuel_opt_arg $ shards_arg
+      $ trace_arg $ metrics_arg)
 
 (* One line per shard plus a farm aggregate; data straight out of each
    shard's stats frame (cache counters + telemetry counters). *)

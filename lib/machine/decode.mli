@@ -1,18 +1,20 @@
-(** Pre-decoded programs for the cycle-level simulator.
+(** Pre-decoded programs: the input format of the {!Jit} closure
+    compiler.
 
-    [Sim]'s original issue loop re-walked OCaml instruction lists every
-    cycle: each issue attempt pattern-matched an [Instr.t], allocated the
-    [Instr.uses]/[Instr.defs] lists, re-classified the instruction and
-    re-derived its latency, and every taken branch rebuilt the successor
-    block's body with [Cfg.body]. Decoding compiles a {!Func.t} once into
-    flat arrays — one decoded instruction per slot, registers as plain
-    ints, per-instruction class/latency/use/def sets precomputed, and
-    branch targets resolved to indices into the flat code array — so the
-    hot loop is array indexing on immediates with no allocation.
+    [Sim]'s original issue loop (kept as the {!Legacy} oracle) re-walked
+    OCaml instruction lists every cycle: each issue attempt
+    pattern-matched an [Instr.t], allocated the [Instr.uses]/[Instr.defs]
+    lists, re-classified the instruction and re-derived its latency, and
+    every taken branch rebuilt the successor block's body with
+    [Cfg.body]. Decoding compiles a {!Func.t} once into flat arrays —
+    one decoded instruction per slot, registers as plain ints,
+    per-instruction class/latency/use/def sets precomputed, and branch
+    targets resolved to indices into the flat code array — so the hot
+    loop is array indexing on immediates with no allocation.
 
-    Decoding is purely representational: the decoded kernel in {!Sim} is
-    byte-identical in results to the legacy list-walking kernel (QCheck
-    enforces this). *)
+    Decoding is purely representational: {!Jit} compiles these arrays
+    into closures, and the resulting engine is byte-identical in results
+    to the legacy list-walking oracle (QCheck enforces this). *)
 
 open Gmt_ir
 

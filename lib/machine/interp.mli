@@ -21,13 +21,14 @@ type result = {
 exception Stuck of string
 (** Raised on produce/consume in single-threaded code. *)
 
-(** Inner-loop implementation. [`Jit] (the default) compiles each
-    instruction once into a closure over the register file and memory;
-    [`Decoded] snapshots block bodies into arrays; [`Legacy] re-walks
-    the IR lists. All three produce identical results (memory, regs,
-    dyn_instrs, profile, fuel behavior) — enforced by QCheck properties
-    in [test_simkernel]. *)
-type engine = [ `Decoded | `Jit | `Legacy ]
+(** Execution engine, shared by {!run}, {!Mt_interp.run} and
+    {!Sim.run}. [`Jit] (the default everywhere) compiles each
+    instruction once into a closure; [`Legacy] re-walks the IR
+    instruction lists and is kept only as the equivalence oracle the
+    jit is checked against. Both produce identical results (here:
+    memory, regs, dyn_instrs, profile, fuel behavior) — enforced by
+    QCheck properties in [test_simkernel]. *)
+type engine = [ `Jit | `Legacy ]
 
 val run :
   ?fuel:int ->

@@ -13,14 +13,6 @@ open Gmt_ir
 
 type sched = Round_robin | Random of int  (** seed *)
 
-(** Inner-loop implementation. [`Jit] (the default) compiles each
-    instruction once into a closure that executes, advances and reports
-    progress; [`Decoded] dispatches over array-indexed block bodies;
-    [`Legacy] re-walks the IR lists. All three produce identical results
-    for every scheduler — enforced by QCheck properties in
-    [test_simkernel]. *)
-type engine = [ `Decoded | `Jit | `Legacy ]
-
 type thread_stats = {
   dyn_instrs : int;       (** everything executed, communication included *)
   produces : int;
@@ -48,12 +40,14 @@ val total_comm : result -> int
 (** Total dynamic instructions, all threads. *)
 val total_dyn : result -> int
 
+(** [?engine] picks the inner loop (see {!Interp.engine}); results are
+    identical for every scheduler either way. *)
 val run :
   ?fuel:int ->
   ?sched:sched ->
   ?init_regs:(Reg.t * int) list ->
   ?init_mem:(int * int) list ->
-  ?engine:engine ->
+  ?engine:Interp.engine ->
   Mtprog.t ->
   queue_capacity:int ->
   mem_size:int ->

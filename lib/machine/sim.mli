@@ -65,37 +65,25 @@ val stall_labels : string array
 
 val n_stall_buckets : int
 
-(** Issue-loop implementation. [`Jit] (the default) compiles each
-    decoded instruction once into an OCaml closure fusing the issue
-    guards with the operand fetch/writeback (see {!Jit}), and
-    fast-forwards provably frozen all-idle stretches in bulk; [`Decoded]
-    runs an interpreter over the {!Decode} pre-decoded flat arrays;
-    [`Legacy] re-walks the IR instruction lists each cycle. All three
-    produce byte-identical results — [cycles], [stall_attr],
-    [queue_peak], per-core stats, memory, deadlock verdicts — and the
-    two slower kernels are retained as equivalence oracles (enforced by
-    QCheck properties in [test_simkernel]). *)
-type kernel = [ `Decoded | `Jit | `Legacy ]
-
-(** ["decoded"], ["jit"] or ["legacy"] — stable names used by CLI flags,
-    bench output and the service protocol. *)
-val kernel_name : kernel -> string
-
-val kernel_of_string : string -> kernel option
-
-(** All kernels, oracle-first: [[`Legacy; `Decoded; `Jit]]. *)
-val all_kernels : kernel list
-
 (** Consecutive idle cycles after which a run is declared deadlocked,
     derived from the machine's memory latency, queue capacity and
     synchronization-array latency. *)
 val deadlock_threshold : Config.t -> int
 
+(** [?engine] picks the issue loop. [`Jit] (the default) compiles each
+    decoded instruction once into an OCaml closure fusing the issue
+    guards with the operand fetch/writeback (see {!Jit}), and
+    fast-forwards provably frozen all-idle stretches in bulk; [`Legacy]
+    re-walks the IR instruction lists each cycle (see {!Legacy}). Both
+    produce byte-identical results — [cycles], [stall_attr],
+    [queue_peak], per-core stats, memory, deadlock verdicts — and the
+    legacy loop is kept only as the equivalence oracle (enforced by
+    QCheck properties in [test_simkernel]). *)
 val run :
   ?fuel:int ->
   ?init_regs:(Reg.t * int) list ->
   ?init_mem:(int * int) list ->
-  ?kernel:kernel ->
+  ?engine:Interp.engine ->
   Config.t ->
   Mtprog.t ->
   mem_size:int ->
@@ -107,7 +95,7 @@ val run_single :
   ?fuel:int ->
   ?init_regs:(Reg.t * int) list ->
   ?init_mem:(int * int) list ->
-  ?kernel:kernel ->
+  ?engine:Interp.engine ->
   Config.t ->
   Func.t ->
   mem_size:int ->

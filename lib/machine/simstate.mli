@@ -1,9 +1,9 @@
-(** Mutable machine state shared by {!Sim}'s three issue-loop kernels.
+(** Mutable machine state stepped by {!Sim}'s jit issue loop.
 
-    The legacy, decoded and jit kernels all step the same state — cores,
-    synchronization-array queues, caches, the cycle counter and the
-    per-cycle SA port budget — so their results are byte-identical by
-    construction wherever the stepping logic agrees. Queue entries and
+    The cycle loop in {!Sim} and the closures {!Jit} compiles share this
+    state — cores, synchronization-array queues, caches, the cycle
+    counter and the per-cycle SA port budget. The {!Legacy} oracle keeps
+    its own state and shares only the bucket codes below. Queue entries and
     waiting consumers live in preallocated rings (entries are bounded by
     the queue capacity; waiter rings grow by doubling, bounded by
     cores x registers), so produce/consume allocate nothing in steady
@@ -27,7 +27,7 @@ val stall_labels : string array
 val n_stall_buckets : int
 
 (** Which per-core stat counter a blocked issue attempt charged
-    (recorded by the jit kernel for the idle fast-forward). *)
+    (recorded by the jit for the idle fast-forward). *)
 
 val stat_none : int
 val stat_data : int
@@ -65,7 +65,7 @@ type core = {
   func : Func.t;
   regs : int array;
   reg_ready : int array;
-  mutable pc : int;  (** decoded/jit kernels: index into flat code *)
+  mutable pc : int;  (** index into the thread's flat decoded code *)
   mutable finished : bool;
   mutable finish_cycle : int;
   l1 : Cache.t;

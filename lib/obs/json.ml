@@ -45,6 +45,13 @@ let escape s =
 
 exception Bad of string
 
+(* Deepest container nesting [parse] accepts. The repo's own documents
+   stay at 5 or less (a gmtd-stats/2 frame and BENCH_fig8.json are 5
+   deep, BENCH_service.json and a traced run reply 4), so 64 leaves
+   ample room. Without a cap, a legal 16 MiB gmtd frame of '[' recursed
+   once per byte and pinned a worker for minutes. *)
+let max_depth = 64
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -159,10 +166,13 @@ let parse s =
     | Some f -> f
     | None -> fail (Printf.sprintf "bad number %S" lit)
   in
-  let rec parse_value () =
+  (* [depth] counts the containers enclosing this value. *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth >= max_depth ->
+      fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '{' ->
       advance ();
       skip_ws ();
@@ -176,7 +186,7 @@ let parse s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -198,7 +208,7 @@ let parse s =
       end
       else begin
         let rec elems acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -218,7 +228,7 @@ let parse s =
     | Some _ -> Num (parse_number ())
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

@@ -16,7 +16,11 @@ type t =
   | Obj of (string * t) list
 
 (** [parse s] parses exactly one JSON document (trailing whitespace
-    allowed, trailing garbage rejected). *)
+    allowed, trailing garbage rejected). A document nesting more than 64
+    arrays/objects is rejected with
+    [Error "nesting deeper than 64 at offset K"] as soon as the parser
+    reaches the 65th opening bracket, so hostile input cannot drive the
+    recursion deep. *)
 val parse : string -> (t, string) result
 
 (** A double-quoted JSON string literal with all mandatory escapes. *)

@@ -48,15 +48,12 @@ val rpc : socket:string -> req -> (Gmt_obs.Json.t, [> error ]) result
 
 (** {2 Request builders} *)
 
-(** [kernel] selects the server-side execution engine (absent = the
-    default, jit); reply bytes are identical whichever engine runs. *)
 val run_request :
   gmt:string ->
   technique:string ->
   coco:bool ->
   threads:int ->
   ?fuel:int ->
-  ?kernel:Gmt_machine.Sim.kernel ->
   unit ->
   req
 
@@ -67,7 +64,6 @@ val sweep_request :
   gmt:string ->
   max_threads:int ->
   ?fuel:int ->
-  ?kernel:Gmt_machine.Sim.kernel ->
   unit ->
   req
 

@@ -258,38 +258,6 @@ let test_compile_cached () =
   Alcotest.(check bool) "unverified not cached" false a3.V.a_from_cache;
   Alcotest.(check int) "no store" 0 (Cache.stats cache2).Cache.stores
 
-(* Execution-engine independence: the cache key digests the scheduling
-   inputs (canonical text, technique, thread count, COCO, tool version)
-   and nothing about how the result will be simulated. Switching
-   [Sim.kernel] must neither miss the cache nor change what the cached
-   artifact measures. *)
-let test_kernel_independent () =
-  let w = workload "ks" in
-  let canonical = Text.print w in
-  let cache = Cache.create () in
-  let a0 = V.compile_cached ~cache ~n_threads:2 ~canonical V.Gremio w in
-  Alcotest.(check bool) "seed compile is a miss" false a0.V.a_from_cache;
-  let reference = V.measure_artifact ~kernel:`Legacy a0 in
-  List.iter
-    (fun kernel ->
-      let a = V.compile_cached ~cache ~n_threads:2 ~canonical V.Gremio w in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s run hits the same entry"
-           (Gmt_machine.Sim.kernel_name kernel))
-        true a.V.a_from_cache;
-      let m = V.measure_artifact ~kernel a in
-      Alcotest.(check int)
-        (Printf.sprintf "%s cycles" (Gmt_machine.Sim.kernel_name kernel))
-        reference.V.cycles m.V.cycles;
-      Alcotest.(check int)
-        (Printf.sprintf "%s dyn_instrs" (Gmt_machine.Sim.kernel_name kernel))
-        reference.V.dyn_instrs m.V.dyn_instrs;
-      Alcotest.(check int)
-        (Printf.sprintf "%s comm_instrs" (Gmt_machine.Sim.kernel_name kernel))
-        reference.V.comm_instrs m.V.comm_instrs)
-    Gmt_machine.Sim.all_kernels;
-  Alcotest.(check int) "one store total" 1 (Cache.stats cache).Cache.stores
-
 let tests =
   [
     Alcotest.test_case "golden fingerprints" `Quick test_golden_fingerprints;
@@ -304,6 +272,4 @@ let tests =
     Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
     Alcotest.test_case "atomic write" `Quick test_atomic_write;
     Alcotest.test_case "compile_cached" `Quick test_compile_cached;
-    Alcotest.test_case "kernel-independent keys" `Quick
-      test_kernel_independent;
   ]

@@ -52,6 +52,18 @@ let test_json_parse () =
   bad "\"unterminated";
   bad "nul"
 
+(* A 10^6-deep array is rejected by the nesting cap before the parser
+   recurses past it, so it neither raises nor takes measurable time. *)
+let test_json_deep_nesting () =
+  let s = String.make 1_000_000 '[' in
+  match Json.parse s with
+  | Ok _ -> Alcotest.fail "10^6-deep document accepted"
+  | Error e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "error names the nesting cap (%s)" e)
+      true
+      (String.starts_with ~prefix:"nesting deeper than" e)
+
 let test_json_escape_roundtrip () =
   let cases = [ "plain"; "with \"quotes\""; "tab\tnewline\n"; "back\\slash";
                 "ctrl\x01char" ] in
@@ -272,6 +284,8 @@ let tests =
     Alcotest.test_case "json parser accepts/rejects" `Quick test_json_parse;
     Alcotest.test_case "json escape round-trips" `Quick
       test_json_escape_roundtrip;
+    Alcotest.test_case "json rejects deep nesting" `Quick
+      test_json_deep_nesting;
     Alcotest.test_case "span disabled is transparent" `Quick
       test_span_disabled_is_transparent;
     Alcotest.test_case "collect nests spans" `Quick test_collect_nesting;

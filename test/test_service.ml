@@ -275,6 +275,67 @@ let test_malformed_frame () =
   Alcotest.(check bool) "connection closed" true
     (match Proto.read_frame fd with Error `Eof -> true | _ -> false)
 
+(* A legal-length frame whose JSON nests 10^6 arrays: the parser's depth
+   cap turns it into the ordinary malformed-frame reply at once, and the
+   daemon keeps serving other connections. *)
+let test_deep_nesting_frame () =
+  let w = workload "ks" in
+  let gmt = Text.print w in
+  let offline = Render.check ~technique:V.Gremio ~coco:false ~threads:2 w in
+  with_server @@ fun srv ->
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
+   @@ fun () ->
+   Unix.connect fd (Unix.ADDR_UNIX (Server.socket srv));
+   let depth = 1_000_000 in
+   let frame = Bytes.make (8 + depth) '[' in
+   Bytes.set_int32_be frame 0 (Int32.of_int (4 + depth));
+   Bytes.set_int32_be frame 4 (Int32.of_int depth);
+   ignore (Unix.write fd frame 0 (Bytes.length frame));
+   (match Proto.read_frame fd with
+   | Ok (j, _) ->
+     Alcotest.(check (option bool)) "rejected" (Some false)
+       (Proto.bool_field j "ok")
+   | Error _ -> Alcotest.fail "no error reply to a deeply nested frame");
+   Alcotest.(check bool) "connection closed" true
+     (match Proto.read_frame fd with Error `Eof -> true | _ -> false));
+  check_outcome "next connection served" offline
+    (request_ok ~socket:(Server.socket srv)
+       (Client.check_request ~gmt ~technique:"gremio" ~coco:false ~threads:2
+          ()))
+
+(* The daemon no longer reads an engine selector: a run request still
+   carrying the retired "kernel" field is answered with the same bytes
+   as one without it. Both are sent warm so the cache status matches. *)
+let test_kernel_field_ignored () =
+  let gmt = Text.print (workload "ks") in
+  let req =
+    Client.run_request ~gmt ~technique:"gremio" ~coco:false ~threads:2 ()
+  in
+  let with_kernel =
+    match req.Client.body with
+    | Json.Obj fields ->
+      {
+        req with
+        Client.body = Json.Obj (fields @ [ ("kernel", Json.Str "decoded") ]);
+      }
+    | _ -> Alcotest.fail "request body is not an object"
+  in
+  with_server @@ fun srv ->
+  let reply (r : Client.req) =
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
+    @@ fun () ->
+    Unix.connect fd (Unix.ADDR_UNIX (Server.socket srv));
+    Proto.write_frame fd ~payload:r.Client.payload r.Client.body;
+    match Proto.read_frame fd with
+    | Ok (j, payload) -> Json.to_string j ^ "\x00" ^ payload
+    | Error _ -> Alcotest.fail "no reply"
+  in
+  ignore (reply req);
+  let plain = reply req in
+  Alcotest.(check string) "identical reply bytes" plain (reply with_kernel)
+
 (* ------------------------- fuel timeout ---------------------------- *)
 
 let test_fuel_timeout () =
@@ -531,6 +592,9 @@ let tests =
     Alcotest.test_case "busy under concurrent load" `Quick
       test_busy_under_load;
     Alcotest.test_case "malformed frame rejected" `Quick test_malformed_frame;
+    Alcotest.test_case "deeply nested frame rejected" `Quick
+      test_deep_nesting_frame;
+    Alcotest.test_case "kernel field ignored" `Quick test_kernel_field_ignored;
     Alcotest.test_case "fuel timeout" `Quick test_fuel_timeout;
     Alcotest.test_case "server fuel cap" `Quick test_fuel_cap;
     Alcotest.test_case "traced request round-trip" `Quick test_traced_request;

@@ -1,10 +1,10 @@
-(* The simulator issue-loop kernels and the parallel evaluation harness.
+(* The simulator engines and the parallel evaluation harness.
 
    Two determinism contracts are enforced here:
-   - all three issue-loop kernels (legacy list-walking, decoded
-     flat-array, jit closure-compiled) produce byte-identical results on
-     random structured programs (single- and multi-threaded, with random
-     partitions), and the three interpreter engines agree likewise; and
+   - the jit (closure-compiled) engine produces results byte-identical
+     to the legacy list-walking oracle on random structured programs
+     (single- and multi-threaded, with random partitions), in the cycle
+     simulator and in both interpreters; and
    - Velocity.run_matrix over the Pool yields byte-identical metrics for
      every jobs count, 1..4, on the full benchmark suite. *)
 
@@ -19,7 +19,7 @@ module V = Gmt_core.Velocity
 module W = Gmt_workloads.Workload
 module Suite = Gmt_workloads.Suite
 
-(* ------- legacy == decoded == jit on random programs ------- *)
+(* ------------ legacy == jit on random programs ------------ *)
 
 let sim_results_equal (a : Sim.result) (b : Sim.result) =
   a.Sim.cycles = b.Sim.cycles
@@ -32,60 +32,72 @@ let sim_results_equal (a : Sim.result) (b : Sim.result) =
   && a.Sim.queue_peak = b.Sim.queue_peak
   && a.Sim.deadlock_report = b.Sim.deadlock_report
 
-(* Run one simulation under every kernel and require byte-identical
-   results, legacy as the reference. *)
-let all_kernels_agree run =
-  let reference = run `Legacy in
-  List.for_all
-    (fun k -> sim_results_equal reference (run k))
-    [ `Decoded; `Jit ]
+(* Run one simulation under both engines and require byte-identical
+   results. *)
+let engines_agree run = sim_results_equal (run `Legacy) (run `Jit)
 
 let prop_kernels_agree_single =
   QCheck.Test.make ~count:120
-    ~name:"legacy == decoded == jit (single-threaded)"
+    ~name:"legacy == jit (single-threaded)"
     Test_props.arbitrary_case
     (fun (stmts, _seed, _n_threads) ->
       let f = Test_props.lower stmts in
       Validate.check f;
-      all_kernels_agree (fun kernel ->
-          Sim.run_single ~fuel:500_000 ~kernel
+      engines_agree (fun engine ->
+          Sim.run_single ~fuel:500_000 ~engine
             ~init_regs:Test_props.init_regs ~init_mem:Test_props.init_mem
             (Config.test_config ()) f ~mem_size:Test_props.mem_size))
 
 let prop_kernels_agree_mt =
   QCheck.Test.make ~count:80
-    ~name:"legacy == decoded == jit (MTCG output, random partitions)"
+    ~name:"legacy == jit (MTCG output, random partitions)"
     Test_props.arbitrary_case
     (fun (stmts, seed, n_threads) ->
       let f = Test_props.lower stmts in
       let pdg = Gmt_pdg.Pdg.build f in
       let part = Test_props.random_partition f ~n_threads ~seed in
       let mtp = Gmt_mtcg.Mtcg.run pdg part in
-      all_kernels_agree (fun kernel ->
-          Sim.run ~fuel:2_000_000 ~kernel ~init_regs:Test_props.init_regs
+      engines_agree (fun engine ->
+          Sim.run ~fuel:2_000_000 ~engine ~init_regs:Test_props.init_regs
             ~init_mem:Test_props.init_mem
             (Config.test_config ~n_cores:n_threads ())
             mtp ~mem_size:Test_props.mem_size))
 
-(* Also pin the kernels against each other on real workloads, both
-   machine configs (1-entry GREMIO queues and 32-entry DSWP queues). *)
+(* Also pin the engines against each other on real workloads, both
+   machine configs (1-entry GREMIO queues and 32-entry DSWP queues), plus
+   one program rebuilt from a cache hit: the cache key carries nothing
+   about the engine, so the reconstructed artifact must measure the same
+   cycles and per-core instruction and communication counts under
+   both. *)
 let test_kernels_agree_workloads () =
+  let agree label (w : W.t) mc mtp =
+    Alcotest.(check bool) (label ^ " engines agree") true
+      (engines_agree (fun engine ->
+           Sim.run ~engine ~init_regs:w.W.reference.W.regs
+             ~init_mem:w.W.reference.W.mem mc mtp ~mem_size:w.W.mem_size))
+  in
   List.iter
     (fun name ->
       let w = Suite.find name in
       List.iter
         (fun tech ->
           let c = V.compile tech w in
-          let mc = V.machine_config tech in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s/%s kernels agree" name (V.technique_name tech))
-            true
-            (all_kernels_agree (fun kernel ->
-                 Sim.run ~kernel ~init_regs:w.W.reference.W.regs
-                   ~init_mem:w.W.reference.W.mem mc c.V.mtp
-                   ~mem_size:w.W.mem_size)))
+          agree
+            (Printf.sprintf "%s/%s" name (V.technique_name tech))
+            w (V.machine_config tech) c.V.mtp)
         [ V.Gremio; V.Dswp ])
-    [ "adpcmdec"; "ks" ]
+    [ "adpcmdec"; "ks" ];
+  let w = Suite.find "ks" in
+  let canonical = Gmt_frontend.Text.print w in
+  let cache = Gmt_cache.Cache.create () in
+  let compile () =
+    V.compile_cached ~cache ~n_threads:2 ~canonical V.Gremio w
+  in
+  ignore (compile ());
+  let a = compile () in
+  Alcotest.(check bool) "ks/gremio artifact served from cache" true
+    a.V.a_from_cache;
+  agree "ks/gremio cached artifact" w (V.machine_config V.Gremio) a.V.a_mtp
 
 (* ---------- interpreter engines agree likewise ---------- *)
 
@@ -103,7 +115,7 @@ let profiles_equal cfg a b =
 
 let prop_interp_engines_agree =
   QCheck.Test.make ~count:100
-    ~name:"interp engines agree (legacy == decoded == jit)"
+    ~name:"interp engines agree (legacy == jit)"
     Test_props.arbitrary_case
     (fun (stmts, _seed, _n_threads) ->
       let f = Test_props.lower stmts in
@@ -111,16 +123,12 @@ let prop_interp_engines_agree =
         Interp.run ~fuel:200_000 ~engine ~init_regs:Test_props.init_regs
           ~init_mem:Test_props.init_mem f ~mem_size:Test_props.mem_size
       in
-      let a = run `Legacy in
-      List.for_all
-        (fun engine ->
-          let b = run engine in
-          a.Interp.memory = b.Interp.memory
-          && a.Interp.regs = b.Interp.regs
-          && a.Interp.dyn_instrs = b.Interp.dyn_instrs
-          && a.Interp.fuel_exhausted = b.Interp.fuel_exhausted
-          && profiles_equal f.Func.cfg a.Interp.profile b.Interp.profile)
-        [ `Decoded; `Jit ])
+      let a = run `Legacy and b = run `Jit in
+      a.Interp.memory = b.Interp.memory
+      && a.Interp.regs = b.Interp.regs
+      && a.Interp.dyn_instrs = b.Interp.dyn_instrs
+      && a.Interp.fuel_exhausted = b.Interp.fuel_exhausted
+      && profiles_equal f.Func.cfg a.Interp.profile b.Interp.profile)
 
 let mt_results_equal (a : Mt_interp.result) (b : Mt_interp.result) =
   a.Mt_interp.memory = b.Mt_interp.memory
@@ -146,10 +154,7 @@ let prop_mt_interp_engines_agree =
               ~init_regs:Test_props.init_regs ~init_mem:Test_props.init_mem
               mtp ~queue_capacity:4 ~mem_size:Test_props.mem_size
           in
-          let a = run `Legacy in
-          List.for_all
-            (fun engine -> mt_results_equal a (run engine))
-            [ `Decoded; `Jit ])
+          mt_results_equal (run `Legacy) (run `Jit))
         [ Mt_interp.Round_robin; Mt_interp.Random seed ])
 
 (* --------------------- the domain pool --------------------- *)
