@@ -730,8 +730,8 @@ let smoke () =
       end)
     ws;
   (* One traced cell through the observability layer: the emitted Chrome
-     trace and metrics JSON must parse and have the expected shape, and
-     the per-core stall attribution must sum to the cell's cycles. *)
+     trace must parse and have the expected shape, and the per-core
+     stall attribution must sum to the cell's cycles. *)
   let fail fmt = Printf.ksprintf (fun s ->
       Printf.eprintf "[smoke] FAIL: %s\n" s;
       exit 1) fmt
@@ -767,34 +767,27 @@ let smoke () =
           (List.length names)
           (String.concat ", " names)
     | _ -> fail "trace JSON lacks a traceEvents array"));
-  (match Json.parse (Obs.metrics_json ()) with
-  | Error e -> fail "metrics JSON malformed: %s" e
-  | Ok j -> (
-    (match Json.member "schema" j with
-    | Some (Json.Str "gmt-metrics/1") -> ()
-    | _ -> fail "metrics JSON lacks schema gmt-metrics/1");
-    match Json.member "counters" j with
-    | Some (Json.Obj counters) ->
-      let get k =
-        match List.assoc_opt k counters with
-        | Some (Json.Num f) -> int_of_float f
-        | _ -> fail "metrics JSON missing counter %S" k
+  (* The gmt-metrics/1 file bytes are pinned by the test/cli golden;
+     here the registry must hold stall rows that sum to the cycles. *)
+  let metrics = Obs.metrics () in
+  let get k =
+    match List.assoc_opt k metrics with
+    | Some v -> v
+    | None -> fail "metrics registry missing counter %S" k
+  in
+  let label = "ks/gremio" in
+  let cycles = get (Printf.sprintf "sim.%s.cycles" label) in
+  Array.iteri
+    (fun ci _ ->
+      let sum =
+        Array.fold_left
+          (fun acc lbl ->
+            acc + get (Printf.sprintf "sim.%s.core%d.stall.%s" label ci lbl))
+          0 Sim.stall_labels
       in
-      let label = "ks/gremio" in
-      let cycles = get (Printf.sprintf "sim.%s.cycles" label) in
-      Array.iteri
-        (fun ci _ ->
-          let sum =
-            Array.fold_left
-              (fun acc lbl ->
-                acc
-                + get (Printf.sprintf "sim.%s.core%d.stall.%s" label ci lbl))
-              0 Sim.stall_labels
-          in
-          if sum <> cycles then
-            fail "metrics: core %d stalls sum to %d, want %d" ci sum cycles)
-        m.V.stall_attr
-    | _ -> fail "metrics JSON lacks a counters object"));
+      if sum <> cycles then
+        fail "metrics: core %d stalls sum to %d, want %d" ci sum cycles)
+    m.V.stall_attr;
   Obs.reset ();
   Printf.printf
     "[smoke] ok: %d kernels x %d configs, pool jobs=2 deterministic, \
@@ -968,7 +961,7 @@ let fuzz_section () =
    the stored artifact and its verdict from the content-addressed cache
    (run requests re-simulate by design, so their cached gain is only the
    compile share). Every warm round-trip also lands in a client-side
-   gmt_telemetry histogram, so each cell reports p50/p90/p99 next to the
+   gmt_obs histogram, so each cell reports p50/p90/p99 next to the
    mean, and per-stage means are read back from the daemon's own
    stage.* histograms. The hammer phase (four concurrent clients on
    cached cells) runs twice — against the telemetry-on daemon, then
@@ -1003,8 +996,8 @@ let farm_bench () =
   let module Client = Gmt_service.Client in
   let module Render = Gmt_service.Render in
   let module Cache = Gmt_cache.Cache in
-  let module Registry = Gmt_telemetry.Registry in
-  let module H = Gmt_telemetry.Histogram in
+  let module Registry = Gmt_obs.Registry in
+  let module H = Gmt_obs.Histogram in
   let module Text = Gmt_frontend.Text in
   let module Gen = Gmt_frontend.Gen in
   let module Farm = Gmt_farm.Farm in
@@ -1334,9 +1327,9 @@ let service_bench () =
   let module Client = Gmt_service.Client in
   let module Cache = Gmt_cache.Cache in
   let module Text = Gmt_frontend.Text in
-  let module H = Gmt_telemetry.Histogram in
-  let module Registry = Gmt_telemetry.Registry in
-  let module Trace = Gmt_telemetry.Trace in
+  let module H = Gmt_obs.Histogram in
+  let module Registry = Gmt_obs.Registry in
+  let module Trace = Gmt_obs.Trace in
   print_endline "";
   print_endline "gmtd service: cold compile vs artifact-cache hit";
   hr ();
@@ -1566,7 +1559,7 @@ let telemetry_smoke path =
   let module Server = Gmt_service.Server in
   let module Client = Gmt_service.Client in
   let module Text = Gmt_frontend.Text in
-  let module Trace = Gmt_telemetry.Trace in
+  let module Trace = Gmt_obs.Trace in
   let t0 = Unix.gettimeofday () in
   let fail fmt =
     Printf.ksprintf

@@ -770,13 +770,13 @@ let parse_listen s =
 
 let serve_cmd =
   let run socket listen self peers mem_capacity jobs cache_dir queue_bound
-      fuel_cap no_telemetry no_coalesce trace metrics =
+      fuel_cap no_telemetry trace metrics =
     let jobs = resolve_jobs jobs in
     with_obs trace metrics @@ fun () ->
     (* Degraded states (evictions, corrupt recoveries, busy replies)
        surface in the daemon's log the moment they happen, not only in
        post-mortem stats queries. *)
-    Gmt_telemetry.Events.set_sink (Some prerr_endline);
+    Gmt_obs.Events.set_sink (Some prerr_endline);
     let cfg =
       {
         (Server.default_config ~socket) with
@@ -787,7 +787,6 @@ let serve_cmd =
         queue_bound;
         fuel_cap;
         telemetry = not no_telemetry;
-        coalesce = not no_coalesce;
       }
     in
     let peer_list =
@@ -909,15 +908,6 @@ let serve_cmd =
       & info [ "mem-capacity" ] ~docv:"N"
           ~doc:"In-memory LRU bound of the artifact cache (entries).")
   in
-  let no_coalesce_arg =
-    Arg.(
-      value & flag
-      & info [ "no-coalesce" ]
-          ~doc:
-            "Disable single-flight coalescing of concurrent identical \
-             compile requests (on by default; the A/B the farm bench \
-             prices).")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -928,8 +918,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ listen_arg $ self_arg $ peers_arg
       $ mem_capacity_arg $ jobs_arg $ cache_dir_arg $ queue_bound_arg
-      $ fuel_cap_arg $ no_telemetry_arg $ no_coalesce_arg $ trace_arg
-      $ metrics_arg)
+      $ fuel_cap_arg $ no_telemetry_arg $ trace_arg $ metrics_arg)
 
 (* ----------------------------- remote ----------------------------- *)
 
@@ -951,7 +940,7 @@ let remote_finish ~socket ~trace ~metrics ~op ~fallback req =
     if trace = None then req
     else
       Client.traced ~parent_span:("remote." ^ op)
-        ~trace_id:(Gmt_telemetry.Trace.genid ())
+        ~trace_id:(Gmt_obs.Trace.genid ())
         req
   in
   let reply =
@@ -1218,7 +1207,7 @@ let farm_finish ~shards ~key ~trace ~metrics ~op ~fallback req =
     if trace = None then req
     else
       Client.traced ~parent_span:("farm." ^ op)
-        ~trace_id:(Gmt_telemetry.Trace.genid ())
+        ~trace_id:(Gmt_obs.Trace.genid ())
         req
   in
   let reply =

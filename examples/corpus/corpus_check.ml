@@ -34,9 +34,9 @@ let metrics_of f =
   Obs.reset ();
   Obs.enable_metrics ();
   f ();
-  let j = Obs.metrics_json () in
+  let m = Obs.metrics () in
   Obs.reset ();
-  j
+  m
 
 let check_file file =
   let src = read_file file in

@@ -1,6 +1,6 @@
 module Obs = Gmt_obs.Obs
 module Json = Gmt_obs.Json
-module Events = Gmt_telemetry.Events
+module Events = Gmt_obs.Events
 
 type entry = {
   mtp : Gmt_ir.Mtprog.t;
@@ -82,8 +82,7 @@ let enforce_capacity t =
     | Some (k, _) ->
       Hashtbl.remove t.mem k;
       t.evictions <- t.evictions + 1;
-      Obs.Metrics.add "cache.evict" 1;
-      (* Debug so a thrashing cache can be rate-limited by sampling. *)
+      Obs.count "cache.evict" 1;
       Events.emit ~severity:Events.Debug ~kind:"cache.evict"
         [ ("key", Json.Str k) ]
   done
@@ -119,8 +118,8 @@ let decode s =
 let evict_corrupt ?(reason = "") t key =
   t.corrupt <- t.corrupt + 1;
   t.evictions <- t.evictions + 1;
-  Obs.Metrics.add "cache.corrupt" 1;
-  Obs.Metrics.add "cache.evict" 1;
+  Obs.count "cache.corrupt" 1;
+  Obs.count "cache.evict" 1;
   Events.emit ~severity:Events.Warn ~kind:"cache.corrupt"
     [ ("key", Json.Str key); ("reason", Json.Str reason) ];
   match entry_path t key with
@@ -133,13 +132,13 @@ let find t key =
   | Some slot ->
     touch t slot;
     t.hits <- t.hits + 1;
-    Obs.Metrics.add "cache.hit" 1;
-    Obs.Metrics.add "cache.hit.mem" 1;
+    Obs.count "cache.hit" 1;
+    Obs.count "cache.hit.mem" 1;
     Some slot.value
   | None -> (
     let miss () =
       t.misses <- t.misses + 1;
-      Obs.Metrics.add "cache.miss" 1;
+      Obs.count "cache.miss" 1;
       None
     in
     match entry_path t key with
@@ -158,8 +157,8 @@ let find t key =
           Hashtbl.replace t.mem key slot;
           enforce_capacity t;
           t.hits <- t.hits + 1;
-          Obs.Metrics.add "cache.hit" 1;
-          Obs.Metrics.add "cache.hit.disk" 1;
+          Obs.count "cache.hit" 1;
+          Obs.count "cache.hit.disk" 1;
           Some e)))
 
 let store t key e =
@@ -169,7 +168,7 @@ let store t key e =
    Hashtbl.replace t.mem key slot;
    enforce_capacity t;
    t.stores <- t.stores + 1;
-   Obs.Metrics.add "cache.store" 1;
+   Obs.count "cache.store" 1;
    match entry_path t key with
    | None -> ()
    | Some path -> Diskio.write_atomic path (encode e));
@@ -191,7 +190,7 @@ let ingest t key e =
     t.cold_clock <- t.cold_clock - 1;
     Hashtbl.replace t.mem key { value = e; tick = t.cold_clock };
     enforce_capacity t;
-    Obs.Metrics.add "cache.ingest" 1;
+    Obs.count "cache.ingest" 1;
     true
   end
 

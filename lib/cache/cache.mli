@@ -27,7 +27,7 @@
 
     Every operation updates both the per-cache {!stats} snapshot (always
     on — tests and the service's [stats] op read it) and the global
-    {!Gmt_obs.Obs.Metrics} registry under [cache.hit], [cache.hit.mem],
+    {!Gmt_obs.Obs} metrics registry under [cache.hit], [cache.hit.mem],
     [cache.hit.disk], [cache.miss], [cache.store], [cache.evict] and
     [cache.corrupt] (no-ops unless metrics are enabled).
 

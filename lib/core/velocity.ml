@@ -105,7 +105,7 @@ let compile ?(n_threads = 2) ?(coco = false) ?(profile_mode = `Train)
          (String.concat "; " es)));
   if Obs.metrics_enabled () then
     for t = 0 to Partition.n_threads partition - 1 do
-      Obs.Metrics.add
+      Obs.count
         (Printf.sprintf "partition.%s.thread%d.instrs" label t)
         (List.length (Partition.instrs_of partition t))
     done;
@@ -116,15 +116,15 @@ let compile ?(n_threads = 2) ?(coco = false) ?(profile_mode = `Train)
             Coco.optimize pdg partition profile)
       in
       if Obs.metrics_enabled () then begin
-        Obs.Metrics.add ("coco." ^ label ^ ".iterations")
+        Obs.count ("coco." ^ label ^ ".iterations")
           stats.Coco.iterations;
-        Obs.Metrics.add ("coco." ^ label ^ ".register_cuts")
+        Obs.count ("coco." ^ label ^ ".register_cuts")
           stats.Coco.register_cuts;
-        Obs.Metrics.add ("coco." ^ label ^ ".memory_cuts")
+        Obs.count ("coco." ^ label ^ ".memory_cuts")
           stats.Coco.memory_cuts;
-        Obs.Metrics.add ("coco." ^ label ^ ".fallbacks") stats.Coco.fallbacks;
+        Obs.count ("coco." ^ label ^ ".fallbacks") stats.Coco.fallbacks;
         let baseline = Mtcg.baseline_plan pdg partition in
-        Obs.Metrics.add
+        Obs.count
           ("coco." ^ label ^ ".queues_eliminated")
           (max 0 (Mtcg.n_queues baseline - Mtcg.n_queues plan))
       end;
@@ -133,7 +133,7 @@ let compile ?(n_threads = 2) ?(coco = false) ?(profile_mode = `Train)
       (Obs.span "mtcg.plan" (fun () -> Mtcg.baseline_plan pdg partition), None)
   in
   if Obs.metrics_enabled () then
-    Obs.Metrics.add ("mtcg." ^ label ^ ".queues") (Mtcg.n_queues plan);
+    Obs.count ("mtcg." ^ label ^ ".queues") (Mtcg.n_queues plan);
   (* Fit the plan into the synchronization array's physical queues. *)
   let queues =
     Obs.span "queue.alloc" (fun () ->
@@ -263,12 +263,12 @@ let expected_memory (w : Workload.t) =
    occupancy peaks. No-op unless metrics are enabled. *)
 let record_sim_metrics label (sim : Sim.result) =
   if Obs.metrics_enabled () then begin
-    Obs.Metrics.add (Printf.sprintf "sim.%s.cycles" label) sim.Sim.cycles;
+    Obs.count (Printf.sprintf "sim.%s.cycles" label) sim.Sim.cycles;
     Array.iteri
       (fun ci row ->
         Array.iteri
           (fun b v ->
-            Obs.Metrics.add
+            Obs.count
               (Printf.sprintf "sim.%s.core%d.stall.%s" label ci
                  Sim.stall_labels.(b))
               v)
@@ -277,7 +277,7 @@ let record_sim_metrics label (sim : Sim.result) =
     Array.iteri
       (fun q v ->
         if v > 0 then
-          Obs.Metrics.peak (Printf.sprintf "sim.%s.queue%d.peak" label q) v)
+          Obs.peak (Printf.sprintf "sim.%s.queue%d.peak" label q) v)
       sim.Sim.queue_peak
   end
 

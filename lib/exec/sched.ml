@@ -142,15 +142,21 @@ let wake_all t =
    reaches [park] with its private buffer and deque empty, and parked
    siblings' deques cannot refill while their owners sleep. On an
    oversubscribed host this converges to roughly one awake worker
-   instead of a herd of spinners starving the submitter. *)
+   instead of a herd of spinners starving the submitter.
+
+   Spread mode has no such sibling: an awake worker may sit inside a
+   task blocked for the life of a connection, so EVERY parker re-checks.
+   Otherwise a push landing between its last [find_task] and its
+   increment (which [submit] missed, reading [sleepers = 0]) would stay
+   queued while the only free worker sleeps. *)
 let park t w =
   w.w_parks <- w.w_parks + 1;
   Mutex.lock t.sleep_mutex;
   let prev = Atomic.fetch_and_add t.sleepers 1 in
-  let last = prev = t.active - 1 in
+  let must_recheck = t.spread || prev = t.active - 1 in
   let may_sleep =
     (not (Atomic.get t.stop))
-    && ((not last) || Injector.is_empty t.injector)
+    && ((not must_recheck) || Injector.is_empty t.injector)
   in
   if may_sleep then Condition.wait t.sleep_cond t.sleep_mutex;
   Atomic.decr t.sleepers;
@@ -349,7 +355,8 @@ let submit t task =
      instead: its non-parked workers may all be inside tasks, blocked
      for milliseconds, so "someone awake will notice" does not hold —
      each task needs a worker dispatched now, and the wake syscall is
-     noise against a request that blocks anyway. *)
+     noise against a request that blocks anyway. The same Dekker
+     ordering holds there because every spread-mode parker re-checks. *)
   if t.spread then begin
     if Atomic.get t.sleepers > 0 then wake_one t
   end

@@ -13,9 +13,11 @@
     Submitters wake sleepers with a Dekker-style handshake (sleeper
     count published atomically {e before} the final emptiness re-check,
     submitter completes its push {e before} reading the count), so no
-    task is ever stranded with every worker asleep; only the {e last}
-    awake worker is obliged to re-check the injector before sleeping,
-    all others park opportunistically.
+    task is ever stranded with every worker asleep. In the default mode
+    only the {e last} awake worker is obliged to re-check the injector
+    before sleeping, all others park opportunistically; in blocking
+    mode every parker re-checks, because an awake sibling may be
+    blocked inside a task.
 
     Workers beyond the host's parallel capacity
     ([Domain.recommended_domain_count]) are spawned but held in

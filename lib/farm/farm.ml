@@ -14,7 +14,7 @@ module Client = Gmt_service.Client
 module Render = Gmt_service.Render
 module V = Gmt_core.Velocity
 module Json = Gmt_obs.Json
-module Events = Gmt_telemetry.Events
+module Events = Gmt_obs.Events
 
 type t = { router : Router.t }
 

@@ -19,8 +19,8 @@
 module Cache = Gmt_cache.Cache
 module Client = Gmt_service.Client
 module Server = Gmt_service.Server
-module Registry = Gmt_telemetry.Registry
-module Events = Gmt_telemetry.Events
+module Registry = Gmt_obs.Registry
+module Events = Gmt_obs.Events
 module Json = Gmt_obs.Json
 
 type config = {

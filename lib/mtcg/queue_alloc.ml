@@ -2,15 +2,15 @@ type t = { queue_of : int -> int; n_queues : int }
 
 let identity comms =
   let n = List.length comms in
-  Gmt_obs.Obs.Metrics.peak "queue_alloc.logical_peak" n;
+  Gmt_obs.Obs.peak "queue_alloc.logical_peak" n;
   { queue_of = (fun i -> i); n_queues = n }
 
 let allocate ~max_queues comms =
   let n = List.length comms in
   if max_queues <= 0 then invalid_arg "Queue_alloc.allocate: max_queues <= 0";
-  Gmt_obs.Obs.Metrics.peak "queue_alloc.logical_peak" n;
+  Gmt_obs.Obs.peak "queue_alloc.logical_peak" n;
   if n > max_queues then
-    Gmt_obs.Obs.Metrics.add "queue_alloc.recolored_allocations" 1;
+    Gmt_obs.Obs.count "queue_alloc.recolored_allocations" 1;
   if n <= max_queues then identity comms
   else begin
     (* Group communication indices by ordered thread pair. *)

@@ -25,7 +25,6 @@ let collectors_key : span list ref list Domain.DLS.key =
 
 let enable_tracing () = Atomic.set tracing true
 let enable_metrics () = Atomic.set metrics_on true
-let tracing_enabled () = Atomic.get tracing
 let metrics_enabled () = Atomic.get metrics_on
 
 let recording () =
@@ -33,38 +32,19 @@ let recording () =
 
 (* ------------------------------ metrics ------------------------------ *)
 
-module Metrics = struct
-  let lock = Mutex.create ()
-  let tbl : (string, int) Hashtbl.t = Hashtbl.create 64
+(* The process-wide registry behind [--metrics]. [reset] swaps in a fresh
+   one rather than clearing tables, so no instrument outlives it. *)
+let registry = Atomic.make (Registry.create ())
 
-  let merge f k v =
-    if Atomic.get metrics_on then begin
-      Mutex.lock lock;
-      let cur = Hashtbl.find_opt tbl k in
-      Hashtbl.replace tbl k (match cur with None -> v | Some c -> f c v);
-      Mutex.unlock lock
-    end
+let count k v =
+  if Atomic.get metrics_on then
+    Registry.add (Registry.counter (Atomic.get registry) k) v
 
-  let add k v = merge ( + ) k v
-  let peak k v = merge max k v
+let peak k v =
+  if Atomic.get metrics_on then
+    Registry.max_gauge (Registry.gauge (Atomic.get registry) k) v
 
-  let get k =
-    Mutex.lock lock;
-    let v = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
-    Mutex.unlock lock;
-    v
-
-  let clear () =
-    Mutex.lock lock;
-    Hashtbl.reset tbl;
-    Mutex.unlock lock
-
-  let sorted_bindings () =
-    Mutex.lock lock;
-    let bs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-    Mutex.unlock lock;
-    List.sort (fun (a, _) (b, _) -> compare a b) bs
-end
+let metrics () = Registry.scalars (Atomic.get registry)
 
 let reset () =
   Atomic.set tracing false;
@@ -72,7 +52,8 @@ let reset () =
   Mutex.lock sink_lock;
   sink := [];
   Mutex.unlock sink_lock;
-  Metrics.clear ()
+  Atomic.set registry (Registry.create ());
+  Events.reset ()
 
 (* ------------------------------ spans ------------------------------ *)
 
@@ -193,19 +174,17 @@ let trace_json () =
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
-let metrics_json () =
+let metrics_text () =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"schema\":\"gmt-metrics/1\",\"counters\":{";
-  let first = ref true in
-  List.iter
-    (fun (k, v) ->
-      if not !first then Buffer.add_char buf ',';
-      first := false;
-      Buffer.add_string buf "\n";
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf '\n';
       Buffer.add_string buf (Json.escape k);
-      Buffer.add_string buf ":";
+      Buffer.add_char buf ':';
       Buffer.add_string buf (string_of_int v))
-    (Metrics.sorted_bindings ());
+    (metrics ());
   Buffer.add_string buf "\n}}\n";
   Buffer.contents buf
 
@@ -216,4 +195,4 @@ let write_file path contents =
     (fun () -> output_string oc contents)
 
 let write_trace path = write_file path (trace_json ())
-let write_metrics path = write_file path (metrics_json ())
+let write_metrics path = write_file path (metrics_text ())

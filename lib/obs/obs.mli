@@ -1,5 +1,7 @@
-(** Pipeline observability: span tracing and a structured-metrics
-    registry (library [gmt_obs]).
+(** Pipeline observability: span tracing and the process-wide metrics
+    registry behind [gmtc --metrics] (library [gmt_obs], which also holds
+    the {!Registry} store, its {!Histogram}/{!Rolling} instruments, the
+    {!Events} log and the cross-process {!Trace} codecs).
 
     {2 Span model}
 
@@ -15,7 +17,7 @@
 
     Both tracing and metrics are off by default. With both off and no
     {!collect} scope active, {!span} is a bool load and an empty-list
-    check before calling the wrapped function, and {!Metrics} operations
+    check before calling the wrapped function, and {!count}/{!peak}
     return immediately — nothing allocates and no lock is taken. The
     simulator's per-cycle stall attribution deliberately does {e not} go
     through this module: it is accumulated in pre-sized int arrays inside
@@ -24,10 +26,13 @@
 
     {2 Determinism}
 
-    The metrics registry holds only merge-commutative integers
-    (additive counters and max-merged peaks), never wall-clock, and
-    {!metrics_json} sorts keys — so the metrics file is byte-identical
-    for every [--jobs] value. Traces carry timestamps and make no such
+    The metrics registry is one {!Registry.t} that only ever receives
+    merge-commutative integers (additive counters and max-merged
+    gauges), never wall-clock, and {!write_metrics} sorts keys — so the
+    metrics file is byte-identical for every [--jobs] value. Recording
+    stays behind {!enable_metrics}: keys embed cell names, so an
+    always-on registry in a daemon that serves fresh programs would grow
+    without bound. Traces carry timestamps and make no such
     promise. *)
 
 type arg = I of int | S of string
@@ -46,14 +51,15 @@ type span = {
 
 val enable_tracing : unit -> unit
 val enable_metrics : unit -> unit
-val tracing_enabled : unit -> bool
 val metrics_enabled : unit -> bool
 
 (** True when a span recorded now would be kept (tracing on, or inside a
     {!collect} scope on this domain). Gate arg computation on this. *)
 val recording : unit -> bool
 
-(** Disable both switches and drop all recorded spans and counters. *)
+(** Disable both switches, drop all recorded spans and metrics, and
+    reset the {!Events} ring — the one reset of the process-global
+    state. *)
 val reset : unit -> unit
 
 (** {1 Spans} *)
@@ -90,18 +96,18 @@ val write_trace : string -> unit
 
 (** {1 Metrics} *)
 
-module Metrics : sig
-  (** [add k v] — additive counter. No-op unless metrics are enabled. *)
-  val add : string -> int -> unit
+(** [count k v] adds [v] to counter [k] of the process-wide registry.
+    No-op unless metrics are enabled. *)
+val count : string -> int -> unit
 
-  (** [peak k v] — max-merged gauge. No-op unless metrics are enabled. *)
-  val peak : string -> int -> unit
+(** [peak k v] raises gauge [k] to [v] if [v] is larger (gauges start at
+    0). No-op unless metrics are enabled. *)
+val peak : string -> int -> unit
 
-  (** Current value ([0] for an absent key). *)
-  val get : string -> int
-end
+(** Every counter and gauge of the process-wide registry, sorted by
+    name: the deterministic view that {!write_metrics} prints. *)
+val metrics : unit -> (string * int) list
 
-(** [{"schema":"gmt-metrics/1","counters":{…}}] with keys sorted. *)
-val metrics_json : unit -> string
-
+(** Writes {!metrics} as [{"schema":"gmt-metrics/1","counters":{…}}],
+    one key per line. *)
 val write_metrics : string -> unit

@@ -1,6 +1,7 @@
 open Gmt_ir
 module Analysis = Gmt_analysis
 module Digraph = Gmt_graphalg.Digraph
+module Obs = Gmt_obs.Obs
 
 type kind =
   | Reg of Reg.t
@@ -39,7 +40,7 @@ let build_reach cfg =
     (i_block = j_block && i_pos < j_pos) || from_succ.(i_block).(j_block)
 
 let build ?(disambiguate_offsets = false) ?prune_mem (f : Func.t) =
-  Gmt_obs.Obs.span ~args:[ ("func", Gmt_obs.Obs.S f.name) ] "pdg.build"
+  Obs.span ~args:[ ("func", Obs.S f.name) ] "pdg.build"
   @@ fun () ->
   let cfg = f.cfg in
   let arcs = ref [] in
@@ -108,15 +109,14 @@ let build ?(disambiguate_offsets = false) ?prune_mem (f : Func.t) =
     | None -> None
     | Some mem_size ->
       Some
-        ( Gmt_obs.Obs.span
-            ~args:[ ("func", Gmt_obs.Obs.S f.name) ]
+        ( Obs.span
+            ~args:[ ("func", Obs.S f.name) ]
             "pdg.absint"
         @@ fun () ->
           let s = Analysis.Memdis.analyze ~mem_size f in
-          if Gmt_obs.Obs.metrics_enabled () then begin
-            let module M = Gmt_obs.Obs.Metrics in
-            M.add "absint.nodes" (Analysis.Memdis.n_nodes s);
-            M.add "absint.iterations" (Analysis.Memdis.iterations s)
+          if Obs.metrics_enabled () then begin
+            Obs.count "absint.nodes" (Analysis.Memdis.n_nodes s);
+            Obs.count "absint.iterations" (Analysis.Memdis.iterations s)
           end;
           s )
   in
@@ -224,15 +224,14 @@ let build ?(disambiguate_offsets = false) ?prune_mem (f : Func.t) =
     | Some l -> closure_branches.(l)
     | None -> []
   in
-  if Gmt_obs.Obs.metrics_enabled () then begin
-    let module M = Gmt_obs.Obs.Metrics in
-    M.add "pdg.nodes" (List.length !nodes);
+  if Obs.metrics_enabled () then begin
+    Obs.count "pdg.nodes" (List.length !nodes);
     let count p = List.length (List.filter p arcs) in
-    M.add "pdg.arcs.reg" (count (fun a -> match a.kind with Reg _ -> true | _ -> false));
-    M.add "pdg.arcs.mem" (count (fun a -> match a.kind with Mem _ -> true | _ -> false));
-    M.add "pdg.arcs.ctrl" (count (fun a -> a.kind = Ctrl));
-    M.add "pdg.arcs.ctrl_trans" (count (fun a -> a.kind = Ctrl_trans));
-    M.add "pdg.arcs.mem_pruned" !mem_pruned
+    Obs.count "pdg.arcs.reg" (count (fun a -> match a.kind with Reg _ -> true | _ -> false));
+    Obs.count "pdg.arcs.mem" (count (fun a -> match a.kind with Mem _ -> true | _ -> false));
+    Obs.count "pdg.arcs.ctrl" (count (fun a -> a.kind = Ctrl));
+    Obs.count "pdg.arcs.ctrl_trans" (count (fun a -> a.kind = Ctrl_trans));
+    Obs.count "pdg.arcs.mem_pruned" !mem_pruned
   end;
   {
     func = f;

@@ -2,6 +2,7 @@ module Pdg = Gmt_pdg.Pdg
 module Scc = Gmt_graphalg.Scc
 module Topo = Gmt_graphalg.Topo
 module Digraph = Gmt_graphalg.Digraph
+module Obs = Gmt_obs.Obs
 
 (* Minimum-bottleneck split of [weights] (a sequence) into at most [k]
    contiguous chunks: returns the chunk index of each element. *)
@@ -57,15 +58,14 @@ let bottleneck_split weights k =
 let solve ?(n_threads = 2) pdg profile =
   let g, _node_of_id, id_of_node = Pdg.to_digraph pdg in
   let dag, comp =
-    Gmt_obs.Obs.span "scc.condense" (fun () -> Scc.condense g)
+    Obs.span "scc.condense" (fun () -> Scc.condense g)
   in
   let n_comps = Digraph.n_nodes dag in
-  if Gmt_obs.Obs.metrics_enabled () then begin
-    let module M = Gmt_obs.Obs.Metrics in
-    M.add "dswp.scc.count" n_comps;
+  if Obs.metrics_enabled () then begin
+    Obs.count "dswp.scc.count" n_comps;
     let size = Array.make n_comps 0 in
     Array.iter (fun c -> size.(c) <- size.(c) + 1) comp;
-    M.peak "dswp.scc.max_size" (Array.fold_left max 0 size)
+    Obs.peak "dswp.scc.max_size" (Array.fold_left max 0 size)
   end;
   let order = Array.of_list (Topo.sort dag) in
   let cfg = (Pdg.func pdg).Gmt_ir.Func.cfg in

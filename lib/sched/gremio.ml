@@ -71,7 +71,7 @@ let partition ?(n_threads = 2) pdg profile =
       Gmt_obs.Obs.span "gremio.sccs" (fun () -> Scc.components g)
     in
     if Gmt_obs.Obs.metrics_enabled () then
-      Gmt_obs.Obs.Metrics.add "gremio.recurrence_sccs" n_comps;
+      Gmt_obs.Obs.count "gremio.recurrence_sccs" n_comps;
     fun id -> comp.(Hashtbl.find index id)
   in
   let block_loop l =

@@ -1,7 +1,7 @@
 module Json = Gmt_obs.Json
 module Obs = Gmt_obs.Obs
-module Events = Gmt_telemetry.Events
-module Trace = Gmt_telemetry.Trace
+module Events = Gmt_obs.Events
+module Trace = Gmt_obs.Trace
 
 type error = [ `No_daemon | `Busy of string | `Protocol of string ]
 
@@ -271,7 +271,7 @@ let request ~socket req =
 let warn_fallback ~socket () =
   Events.emit ~severity:Events.Warn ~kind:"client.fallback"
     [ ("socket", Json.Str socket) ];
-  Obs.Metrics.add "client.fallback" 1;
+  Obs.count "client.fallback" 1;
   Printf.sprintf
     "gmtc: warning: no daemon at %s; falling back to local compile\n" socket
 

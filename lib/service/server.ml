@@ -4,11 +4,11 @@ module Cache = Gmt_cache.Cache
 module Pool = Gmt_parallel.Pool
 module Text = Gmt_frontend.Text
 module V = Gmt_core.Velocity
-module Registry = Gmt_telemetry.Registry
-module Histogram = Gmt_telemetry.Histogram
-module Rolling = Gmt_telemetry.Rolling
-module Events = Gmt_telemetry.Events
-module Trace = Gmt_telemetry.Trace
+module Registry = Gmt_obs.Registry
+module Histogram = Gmt_obs.Histogram
+module Rolling = Gmt_obs.Rolling
+module Events = Gmt_obs.Events
+module Trace = Gmt_obs.Trace
 
 type config = {
   socket : string;
@@ -19,7 +19,6 @@ type config = {
   queue_bound : int;
   fuel_cap : int option;
   telemetry : bool;
-  coalesce : bool;
 }
 
 let default_config ~socket =
@@ -32,7 +31,6 @@ let default_config ~socket =
     queue_bound = 64;
     fuel_cap = None;
     telemetry = true;
-    coalesce = true;
   }
 
 (* Every instrument the request path touches, resolved once at startup —
@@ -51,17 +49,6 @@ type instruments = {
   c_sf_waits : Registry.counter;
   c_repl_ingested : Registry.counter;
   g_in_flight : Registry.gauge;
-  (* Scheduler counters mirrored as gauges: refreshed from
-     [Pool.stats] on every stats request, so the Prometheus exposition
-     and the telemetry JSON carry the work-stealing runtime's health
-     without the scheduler ever touching the registry on its hot
-     paths. *)
-  g_pool_tasks : Registry.gauge;
-  g_pool_injected : Registry.gauge;
-  g_pool_steal_att : Registry.gauge;
-  g_pool_steal_ok : Registry.gauge;
-  g_pool_parks : Registry.gauge;
-  g_pool_depth_peak : Registry.gauge;
   w_hits : Rolling.t;
   w_misses : Rolling.t;
   w_busy : Rolling.t;
@@ -86,12 +73,6 @@ let make_instruments () =
     c_sf_waits = Registry.counter reg "farm.singleflight.waits";
     c_repl_ingested = Registry.counter reg "farm.replication.ingested";
     g_in_flight = Registry.gauge reg "in_flight";
-    g_pool_tasks = Registry.gauge reg "pool.tasks_run";
-    g_pool_injected = Registry.gauge reg "pool.injected";
-    g_pool_steal_att = Registry.gauge reg "pool.steals_attempted";
-    g_pool_steal_ok = Registry.gauge reg "pool.steals_succeeded";
-    g_pool_parks = Registry.gauge reg "pool.parks";
-    g_pool_depth_peak = Registry.gauge reg "pool.deque_depth_peak";
     w_hits = Registry.window reg Rolling.Sum "win.cache.hits";
     w_misses = Registry.window reg Rolling.Sum "win.cache.misses";
     w_busy = Registry.window reg Rolling.Sum "win.busy";
@@ -123,7 +104,7 @@ type t = {
   pool : Pool.t;
   listen_fd : Unix.file_descr;
   tcp_fd : Unix.file_descr option;
-  flight : Render.outcome Singleflight.t option;
+  flight : Render.outcome Singleflight.t;
   stop_flag : bool Atomic.t;
   in_flight : int Atomic.t;
   ins : instruments option;
@@ -240,49 +221,42 @@ let compile_request t j payload op =
             Render.run ~cache:t.cache ~canonical:text ~jobs:1 ?fuel
               ~technique ~coco ~threads w))))
 
+let pool_counters =
+  [
+    "tasks_run"; "injected"; "steals_attempted"; "steals_succeeded"; "parks";
+    "deque_depth_peak";
+  ]
+
 let stats_json t =
   let s = Cache.stats t.cache in
-  let ps = Pool.stats t.pool in
-  (* Racy-but-safe live snapshot (Sched.stats); mirror it into the
-     registry gauges so the prometheus/telemetry exposition sees it. *)
-  (match (t.ins, ps) with
-  | Some ins, Some st ->
-    let module S = Gmt_exec.Sched in
-    Registry.set_gauge ins.g_pool_tasks st.S.tasks_run;
-    Registry.set_gauge ins.g_pool_injected st.S.injected;
-    Registry.set_gauge ins.g_pool_steal_att st.S.steals_attempted;
-    Registry.set_gauge ins.g_pool_steal_ok st.S.steals_succeeded;
-    Registry.set_gauge ins.g_pool_parks st.S.parks;
-    Registry.set_gauge ins.g_pool_depth_peak st.S.deque_depth_peak
-  | _ -> ());
   let now = Unix.gettimeofday () in
   let n name v = (name, Json.Num (float_of_int v)) in
-  let pool_obj =
-    match ps with
-    | None ->
-      (* Inline pool (jobs = 1): no scheduler, all-zero counters. *)
-      Json.Obj
-        [
-          n "workers" 0;
-          n "tasks_run" 0;
-          n "injected" 0;
-          n "steals_attempted" 0;
-          n "steals_succeeded" 0;
-          n "parks" 0;
-          n "deque_depth_peak" 0;
-        ]
+  (* Racy-but-safe live snapshot (Sched.stats); an inline pool
+     (jobs = 1) has no scheduler and reports all-zero counters. *)
+  let workers, counters =
+    let module S = Gmt_exec.Sched in
+    match Pool.stats t.pool with
+    | None -> (0, List.map (fun k -> (k, 0)) pool_counters)
     | Some st ->
-      let module S = Gmt_exec.Sched in
-      Json.Obj
-        [
-          n "workers" st.S.workers;
-          n "tasks_run" st.S.tasks_run;
-          n "injected" st.S.injected;
-          n "steals_attempted" st.S.steals_attempted;
-          n "steals_succeeded" st.S.steals_succeeded;
-          n "parks" st.S.parks;
-          n "deque_depth_peak" st.S.deque_depth_peak;
-        ]
+      ( st.S.workers,
+        List.combine pool_counters
+          [
+            st.S.tasks_run; st.S.injected; st.S.steals_attempted;
+            st.S.steals_succeeded; st.S.parks; st.S.deque_depth_peak;
+          ] )
+  in
+  (* Mirrored into registry gauges here, on the stats path, so the
+     Prometheus exposition and the telemetry JSON carry the runtime's
+     health without the scheduler ever touching the registry. *)
+  Option.iter
+    (fun ins ->
+      List.iter
+        (fun (k, v) ->
+          Registry.set_gauge (Registry.gauge ins.reg ("pool." ^ k)) v)
+        counters)
+    t.ins;
+  let pool_obj =
+    Json.Obj (n "workers" workers :: List.map (fun (k, v) -> n k v) counters)
   in
   let base =
     [
@@ -423,11 +397,8 @@ let handle_request t j payload =
        tree holds just its serve.* wait — its reply is byte-identical to
        the leader's but ships no server-side stage spans. *)
     let compiled () =
-      match t.flight with
-      | None -> (compile_request t j payload op, `Led)
-      | Some sf ->
-        Singleflight.run sf (flight_key j payload) (fun () ->
-            compile_request t j payload op)
+      Singleflight.run t.flight (flight_key j payload) (fun () ->
+          compile_request t j payload op)
     in
     (* Collect the request's span tree when either consumer wants it:
        the stage histograms (telemetry on) or a traced client. [Render]
@@ -456,16 +427,14 @@ let handle_request t j payload =
     | Some ins ->
       (* The lead/wait split is a coalescing metric, so it counts only
          coalescing-relevant flights: a lead that was served from the
-         cache is an ordinary hit (nothing was deduplicated), and with
-         the flight table disabled every request trivially "leads" —
-         neither may inflate the counters. What remains makes
-         [waits / (leads + waits)] exactly the share of duplicate
-         concurrent misses collapsed into an already-running compile. *)
-      if t.flight <> None then (
-        match role with
-        | `Led ->
-          if o.Render.cache_status = "miss" then Registry.incr ins.c_sf_leads
-        | `Joined -> Registry.incr ins.c_sf_waits);
+         cache is an ordinary hit (nothing was deduplicated) and must not
+         inflate the counters. What remains makes [waits / (leads +
+         waits)] exactly the share of duplicate concurrent misses
+         collapsed into an already-running compile. *)
+      (match role with
+      | `Led ->
+        if o.Render.cache_status = "miss" then Registry.incr ins.c_sf_leads
+      | `Joined -> Registry.incr ins.c_sf_waits);
       (* A waiter shares the leader's outcome verbatim, so its
          cache_status reflects the leader's cache probe, not one of its
          own — counting it would log N misses for one compile and drift
@@ -644,7 +613,7 @@ let start cfg =
       pool;
       listen_fd;
       tcp_fd;
-      flight = (if cfg.coalesce then Some (Singleflight.create ()) else None);
+      flight = Singleflight.create ();
       stop_flag = Atomic.make false;
       in_flight = Atomic.make 0;
       ins;

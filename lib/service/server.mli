@@ -11,7 +11,10 @@
     All workers share one {!Gmt_cache.Cache.t}, so a kernel compiled for
     one client is a cache hit for every later client (and for the
     daemon's own re-verification: cached artifacts carry their
-    translation-validation verdict).
+    translation-validation verdict). Concurrent compile requests with
+    identical (op, parameters, program) run the compile once and share
+    the outcome ({!Singleflight}); the lead/wait split shows up as the
+    [farm.singleflight.leads]/[farm.singleflight.waits] counters.
 
     Responses are rendered by the same {!Render} functions offline
     [gmtc] prints through, which makes served bytes identical to offline
@@ -40,16 +43,10 @@ type config = {
           rolling windows, events) and per-stage span aggregation; off
           turns every instrument into a no-op — the A/B the bench
           harness uses to price the plane *)
-  coalesce : bool;
-      (** single-flight request coalescing: concurrent compile requests
-          with identical (op, parameters, program) run the compile once
-          and share the outcome; the [`Led]/[`Joined] split shows up as
-          the [farm.singleflight.leads]/[farm.singleflight.waits]
-          counters *)
 }
 
 (** [jobs = Pool.default_jobs ()], no TCP listener, no disk store,
-    capacity 128, bound 64, no fuel cap, telemetry on, coalescing on. *)
+    capacity 128, bound 64, no fuel cap, telemetry on. *)
 val default_config : socket:string -> config
 
 type t
@@ -74,7 +71,7 @@ val tcp_port : t -> int option
 (** The live telemetry registry, [None] when [telemetry = false]. The
     [stats] op renders exactly this registry; in-process consumers (the
     bench harness, tests) can read it without a socket round-trip. *)
-val registry : t -> Gmt_telemetry.Registry.t option
+val registry : t -> Gmt_obs.Registry.t option
 
 (** Ask the accept loop to stop. Returns immediately; pair with
     {!join}. Safe from a signal handler's continuation. *)

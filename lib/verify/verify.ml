@@ -585,7 +585,7 @@ let run ?max_queues ?(queue_of = fun i -> i) ?prune_mem ~pdg ~partition ~plan
                 ())
             | _ -> ())
           (Pdg.arcs pdg);
-        Obs.Metrics.add "verify.cross_arcs_checked" !n_arcs);
+        Obs.count "verify.cross_arcs_checked" !n_arcs);
 
     (* ------------------------- protocol --------------------------- *)
     Obs.span "verify.protocol" (fun () ->
@@ -777,7 +777,7 @@ let run ?max_queues ?(queue_of = fun i -> i) ?prune_mem ~pdg ~partition ~plan
                           (Alias.kind_to_string k))
               mem_is)
           mem_is;
-        Obs.Metrics.add "verify.race_pairs_checked" !n_pairs);
+        Obs.count "verify.race_pairs_checked" !n_pairs);
 
     (* ------------------------ def-before-use ---------------------- *)
     Obs.span "verify.defuse" (fun () ->
@@ -840,8 +840,8 @@ let run ?max_queues ?(queue_of = fun i -> i) ?prune_mem ~pdg ~partition ~plan
             (analysis_rank b.analysis, b.message, b.arc, b.queue, b.comm))
         !diags
     in
-    Obs.Metrics.add "verify.runs" 1;
-    Obs.Metrics.add "verify.diagnostics" (List.length out);
+    Obs.count "verify.runs" 1;
+    Obs.count "verify.diagnostics" (List.length out);
     out
   end
 

@@ -228,6 +228,64 @@ let test_sched_exception_surfaces () =
     | () -> false
     | exception Kaboom 5 -> true)
 
+(* Lost-wakeup regression for blocking mode (the gmtd pool). Worker 1
+   sits in a task blocked on a condvar for the whole test, as a gmtd
+   worker sits in [read_frame] for the life of a connection; worker 2
+   runs a stream of short tasks, each submitted 0.9-1.25 ms after the
+   previous one finished. That is when worker 2's idle escalation (two
+   spin rounds, then eight 0.1 ms naps) reaches [park], so some submits
+   land between its last [find_task] and its sleeper increment. A
+   parker that then sleeps without re-checking the injector strands the
+   task until a later submit; here a stranded task is counted after 1 s
+   and rescued by a no-op submit, whose wake finds the sleeper. *)
+let test_sched_blocking_no_lost_wakeup () =
+  let rounds = 1500 in
+  let s = Sched.create ~blocking:true ~workers:2 () in
+  let m = Mutex.create () and c = Condition.create () in
+  let released = ref false and holding = Atomic.make false in
+  let rec wait_until deadline p =
+    p ()
+    || Unix.gettimeofday () < deadline
+       && (Unix.sleepf 5e-5;
+           wait_until deadline p)
+  in
+  let within timeout p = wait_until (Unix.gettimeofday () +. timeout) p in
+  let stalls = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect m (fun () ->
+          released := true;
+          Condition.broadcast c);
+      Sched.shutdown s)
+    (fun () ->
+      Sched.submit s (fun () ->
+          Atomic.set holding true;
+          Mutex.protect m (fun () ->
+              while not !released do
+                Condition.wait c m
+              done));
+      check Alcotest.bool "holder task started" true
+        (within 5.0 (fun () -> Atomic.get holding));
+      let rng = Random.State.make [| 13 |] in
+      let idle_since = ref (Unix.gettimeofday ()) in
+      for _ = 1 to rounds do
+        let delay = 0.9e-3 +. Random.State.float rng 0.35e-3 in
+        let wait = !idle_since +. delay -. Unix.gettimeofday () in
+        if wait > 0.0 then Unix.sleepf wait;
+        let finished = Atomic.make 0.0 in
+        Sched.submit s (fun () -> Atomic.set finished (Unix.gettimeofday ()));
+        let ran () = Atomic.get finished > 0.0 in
+        if not (within 1.0 ran) then begin
+          incr stalls;
+          Sched.submit s ignore;
+          check Alcotest.bool "stranded task rescued" true (within 5.0 ran)
+        end;
+        idle_since := Atomic.get finished
+      done);
+  check Alcotest.int
+    (Printf.sprintf "tasks not started within 1 s (of %d)" rounds)
+    0 !stalls
+
 (* ------- pool fast paths and stats ------- *)
 
 let test_pool_no_spawn_for_trivial_lists () =
@@ -294,6 +352,8 @@ let tests =
       test_sched_shutdown_idempotent;
     Alcotest.test_case "sched surfaces raw-task exception" `Quick
       test_sched_exception_surfaces;
+    Alcotest.test_case "sched blocking mode: no lost wakeup" `Quick
+      test_sched_blocking_no_lost_wakeup;
     Alcotest.test_case "pool: trivial lists spawn no domain" `Quick
       test_pool_no_spawn_for_trivial_lists;
     Alcotest.test_case "pool: jobs validated before fast path" `Quick

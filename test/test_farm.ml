@@ -17,8 +17,8 @@ module Proto = Gmt_service.Proto
 module Render = Gmt_service.Render
 module Singleflight = Gmt_service.Singleflight
 module Cache = Gmt_cache.Cache
-module Registry = Gmt_telemetry.Registry
-module Histogram = Gmt_telemetry.Histogram
+module Registry = Gmt_obs.Registry
+module Histogram = Gmt_obs.Histogram
 module Json = Gmt_obs.Json
 module V = Gmt_core.Velocity
 module Text = Gmt_frontend.Text
@@ -381,29 +381,39 @@ let read_then_pong fd =
    must retry exactly once on a fresh connection — and succeed when the
    restarted daemon answers. *)
 let test_retry_once_on_lost_connection () =
-  with_fake_listener [ read_then_hang_up; read_then_pong ]
-  @@ fun path served ->
-  (match Client.ping ~socket:path with
-  | Ok v -> Alcotest.(check string) "retried ping answers" Proto.version v
-  | Error `No_daemon -> Alcotest.fail "EOF misclassified as No_daemon"
-  | Error (`Busy m) -> Alcotest.failf "unexpected busy: %s" m
-  | Error (`Protocol m) -> Alcotest.failf "retry did not recover: %s" m);
+  (* [served] is read after [with_fake_listener] joins the listener: the
+     listener counts a connection only after closing it, which can be
+     after the client already holds its reply. *)
+  let served =
+    with_fake_listener [ read_then_hang_up; read_then_pong ]
+    @@ fun path served ->
+    (match Client.ping ~socket:path with
+    | Ok v -> Alcotest.(check string) "retried ping answers" Proto.version v
+    | Error `No_daemon -> Alcotest.fail "EOF misclassified as No_daemon"
+    | Error (`Busy m) -> Alcotest.failf "unexpected busy: %s" m
+    | Error (`Protocol m) -> Alcotest.failf "retry did not recover: %s" m);
+    served
+  in
   Alcotest.(check int) "exactly two connections" 2 (Atomic.get served)
 
 (* Lost twice: the retry is not a loop. The second EOF surfaces as a
    protocol error and no third connection is attempted. *)
 let test_lost_twice_gives_up () =
-  with_fake_listener [ read_then_hang_up; read_then_hang_up ]
-  @@ fun path served ->
-  (match Client.ping ~socket:path with
-  | Error (`Protocol m) ->
-    Alcotest.(check bool)
-      (Printf.sprintf "error names the double loss (%s)" m)
-      true
-      (String.length m >= 5)
-  | Ok _ -> Alcotest.fail "expected a protocol error after two losses"
-  | Error `No_daemon -> Alcotest.fail "double loss misclassified as No_daemon"
-  | Error (`Busy m) -> Alcotest.failf "unexpected busy: %s" m);
+  let served =
+    with_fake_listener [ read_then_hang_up; read_then_hang_up ]
+    @@ fun path served ->
+    (match Client.ping ~socket:path with
+    | Error (`Protocol m) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error names the double loss (%s)" m)
+        true
+        (String.length m >= 5)
+    | Ok _ -> Alcotest.fail "expected a protocol error after two losses"
+    | Error `No_daemon ->
+      Alcotest.fail "double loss misclassified as No_daemon"
+    | Error (`Busy m) -> Alcotest.failf "unexpected busy: %s" m);
+    served
+  in
   Alcotest.(check int) "exactly two connections, no third" 2
     (Atomic.get served)
 
@@ -604,32 +614,6 @@ let test_server_coalescing () =
   Alcotest.(check int) "no second lead" 1
     (counter_value reg "farm.singleflight.leads")
 
-(* --no-coalesce (coalesce = false): same bytes, no flight counters. *)
-let test_coalescing_off () =
-  let gmt = Text.print (Suite.find "ks") in
-  let cfg =
-    {
-      (Server.default_config ~socket:(fresh_socket ())) with
-      Server.jobs = 2;
-      coalesce = false;
-    }
-  in
-  let srv = Server.start cfg in
-  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
-  let req =
-    Client.check_request ~gmt ~technique:"dswp" ~coco:false ~threads:2 ()
-  in
-  let offline =
-    Render.check ~technique:V.Dswp ~coco:false ~threads:2 (Suite.find "ks")
-  in
-  check_outcome "uncoalesced reply" offline
-    (request_ok ~socket:(Server.socket srv) req);
-  match Server.registry srv with
-  | Some reg ->
-    Alcotest.(check int) "no lead counted" 0
-      (counter_value reg "farm.singleflight.leads")
-  | None -> Alcotest.fail "no registry"
-
 (* -------------------- replication cache intake --------------------- *)
 
 let test_ingest_semantics () =
@@ -803,7 +787,6 @@ let tests =
       test_singleflight_exception;
     Alcotest.test_case "server coalesces concurrent misses" `Quick
       test_server_coalescing;
-    Alcotest.test_case "coalescing off" `Quick test_coalescing_off;
     Alcotest.test_case "replication ingest semantics" `Quick
       test_ingest_semantics;
     Alcotest.test_case "failover serves the replica" `Quick

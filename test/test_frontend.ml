@@ -134,11 +134,11 @@ let test_metrics_parity () =
     List.iter
       (fun (tech, coco) -> ignore (V.compile ~coco ~verify:false tech w))
       [ (V.Gremio, false); (V.Gremio, true); (V.Dswp, false); (V.Dswp, true) ];
-    let j = Gmt_obs.Obs.metrics_json () in
+    let m = Gmt_obs.Obs.metrics () in
     Gmt_obs.Obs.reset ();
-    j
+    m
   in
-  Alcotest.(check string)
+  Alcotest.(check (list (pair string int)))
     "metrics byte-identical for re-parsed workload" (metrics_of w)
     (metrics_of w')
 

@@ -170,30 +170,30 @@ let test_trace_json_roundtrip () =
 
 let test_metrics_registry () =
   with_reset @@ fun () ->
+  let values = Alcotest.(list (pair string int)) in
   (* Disabled: everything is a no-op. *)
-  Obs.Metrics.add "off" 5;
-  Alcotest.(check int) "disabled add ignored" 0 (Obs.Metrics.get "off");
+  Obs.count "off" 5;
+  Obs.peak "off.peak" 5;
+  Alcotest.check values "disabled is a no-op" [] (Obs.metrics ());
   Obs.enable_metrics ();
-  Obs.Metrics.add "c" 2;
-  Obs.Metrics.add "c" 3;
-  Obs.Metrics.peak "p" 4;
-  Obs.Metrics.peak "p" 2;
-  Obs.Metrics.peak "p" 9;
-  Alcotest.(check int) "counter adds" 5 (Obs.Metrics.get "c");
-  Alcotest.(check int) "peak keeps max" 9 (Obs.Metrics.get "p");
-  let j =
-    match Json.parse (Obs.metrics_json ()) with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "metrics JSON unparsable: %s" e
-  in
-  (match Json.member "schema" j with
-  | Some (Json.Str "gmt-metrics/1") -> ()
-  | _ -> Alcotest.fail "schema missing");
-  match Json.member "counters" j with
-  | Some (Json.Obj kvs) ->
-    Alcotest.(check (list string))
-      "keys sorted" [ "c"; "p" ] (List.map fst kvs)
-  | _ -> Alcotest.fail "counters missing"
+  Obs.count "z" 2;
+  Obs.count "z" 3;
+  Obs.peak "m" 4;
+  Obs.peak "m" 2;
+  Obs.peak "m" 9;
+  Obs.count "a" 1;
+  Alcotest.check values "add sums, peak keeps max, keys sorted"
+    [ ("a", 1); ("m", 9); ("z", 5) ]
+    (Obs.metrics ());
+  let path = Filename.temp_file "gmt-obs" ".metrics.json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Obs.write_metrics path;
+      Alcotest.(check string)
+        "gmt-metrics/1 bytes: counters and peaks in one sorted object"
+        "{\"schema\":\"gmt-metrics/1\",\"counters\":{\n\"a\":1,\n\"m\":9,\n\"z\":5\n}}\n"
+        (In_channel.with_open_bin path In_channel.input_all))
 
 (* The registry only ever merges commutative integers, so the metrics
    file must be byte-identical whatever the domain fan-out. *)
@@ -202,14 +202,14 @@ let test_metrics_deterministic_across_jobs () =
     with_reset @@ fun () ->
     Obs.enable_metrics ();
     ignore (V.run_matrix ~jobs ~fuel:2_000_000 [ Suite.find "adpcmdec" ]);
-    Obs.metrics_json ()
+    Obs.metrics ()
   in
   let baseline = metrics_at 1 in
   Alcotest.(check bool) "registry is non-trivial" true
-    (String.length baseline > 100);
+    (List.length baseline > 10);
   List.iter
     (fun jobs ->
-      Alcotest.(check string)
+      Alcotest.(check (list (pair string int)))
         (Printf.sprintf "metrics at jobs=%d" jobs)
         baseline (metrics_at jobs))
     [ 2; 3; 4 ]

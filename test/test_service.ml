@@ -12,8 +12,8 @@ module Proto = Gmt_service.Proto
 module Cache = Gmt_cache.Cache
 module Json = Gmt_obs.Json
 module Obs = Gmt_obs.Obs
-module Trace = Gmt_telemetry.Trace
-module Registry = Gmt_telemetry.Registry
+module Trace = Gmt_obs.Trace
+module Registry = Gmt_obs.Registry
 module V = Gmt_core.Velocity
 module Text = Gmt_frontend.Text
 module Suite = Gmt_workloads.Suite
@@ -526,7 +526,7 @@ let test_stats2_frame () =
     (match Registry.find_histogram reg "latency.run" with
     | Some h ->
       Alcotest.(check int) "registry count" 2
-        (Gmt_telemetry.Histogram.count h)
+        (Gmt_obs.Histogram.count h)
     | None -> Alcotest.fail "registry lacks latency.run")
   | None -> Alcotest.fail "telemetry on but no registry");
   match Json.member "prometheus" j with
